@@ -91,7 +91,6 @@ from .errors import (
     DimensionMismatch,
     NotCompletelyPositive,
     NotHermitian,
-    NotHermitianPreserving,
     NotTotallyEntangled,
     NotTracePreserving,
     NumericalFailure,

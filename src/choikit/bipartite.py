@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matlin import as_matrix
+from .matlin import _frozen_copy, as_matrix
 
 __all__ = [
     "BipartiteShape",
@@ -65,19 +65,20 @@ class BipartiteShape:
 
 
 def _as_vector(data, length: int) -> np.ndarray:
-    v = np.asarray(data, dtype=complex)
+    v = np.array(data, dtype=complex)
     if v.ndim == 2 and v.shape[1] == 1:
         v = v[:, 0]
     if v.ndim != 1 or v.shape[0] != length:
         raise DimensionMismatch(f"expected a vector of length {length}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
+    v.flags.writeable = False
     return v
 
 
 @dataclass(frozen=True)
 class BipartiteVector:
-    """Vector in C^m (x) C^n, stored flat in the convention above."""
+    """Vector in C^m (x) C^n, stored flat (a read-only copy) as above."""
 
     shape: BipartiteShape
     data: np.ndarray
@@ -88,13 +89,13 @@ class BipartiteVector:
 
 @dataclass(frozen=True)
 class BipartiteOperator:
-    """Operator on C^m (x) C^n as a dense (m*n) x (m*n) matrix."""
+    """Operator on C^m (x) C^n as a dense (m*n) x (m*n) read-only copy."""
 
     shape: BipartiteShape
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = _frozen_copy(self.mat)
         d = self.shape.dim
         if m.shape != (d, d):
             raise DimensionMismatch(f"expected a {d} x {d} matrix, got {m.shape}")

@@ -13,12 +13,13 @@ through its block matrix (Choi form): the operator ``s`` on
 Conversions between the three are exact reindexings or eigensystem
 computations; no optimization is involved.  The predicate suite
 (Hermiticity preserving, complete positivity, trace preservation,
-unitality, factorizability, extremality) reads everything off ``s``.
+unitality, factorizability, extremality) reads everything off ``s``,
+its spectrum from one analysis per tolerance (see :func:`_spectrum`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from . import bipartite as bp
 from . import matlin as ml
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotCompletelyPositive,
     NotHermitian,
@@ -72,10 +74,13 @@ class Channel:
     """An operation from n x n to m x m matrices, held as its block matrix.
 
     ``shape.m`` is the output dimension, ``shape.n`` the input dimension.
+    The block matrix is read-only, so the spectral analysis of it is kept
+    here, one per tolerance.
     """
 
     shape: bp.BipartiteShape
     choi: bp.BipartiteOperator
+    _spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.choi.shape != self.shape:
@@ -90,7 +95,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A finite family of m x n operators, all of the same size."""
+    """A finite family of m x n operators, all of the same size (read-only copies)."""
 
     shape: bp.BipartiteShape
     ops: tuple
@@ -98,18 +103,54 @@ class KrausSet:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("a Kraus family must contain at least one operator")
-        fixed = []
-        for op in self.ops:
-            op = ml.as_matrix(op)
+        ops = tuple(ml._frozen_copy(op) for op in self.ops)
+        for op in ops:
             if op.shape != (self.shape.m, self.shape.n):
                 raise DimensionMismatch(
                     f"operator of shape {op.shape} in a {self.shape.m} x {self.shape.n} family"
                 )
-            fixed.append(op)
-        object.__setattr__(self, "ops", tuple(fixed))
+        object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """One spectral analysis of a block matrix s at one tolerance.
+
+    ``threshold`` is ``tol.threshold(|s|_F)``, the one scale for the
+    Hermiticity test, the positivity floor, the rank and the Kraus cut.
+    Eigenvalues (decreasing) and eigenvectors are set on the Hermitian
+    cone, singular values off it; ``rank`` counts moduli above threshold.
+    """
+
+    hermitian: bool
+    threshold: float
+    eigenvalues: Optional[np.ndarray]
+    eigenvectors: Optional[np.ndarray]
+    singular_values: Optional[np.ndarray]
+    rank: int
+
+
+def _spectrum(c: Channel, tol: Tolerance) -> _Spectrum:
+    """The spectral analysis of ``c`` at ``tol``, computed once and kept."""
+    if tol in c._spectra:
+        return c._spectra[tol]
+    s = c.choi_mat
+    threshold = tol.threshold(ml.frobenius_norm(s))
+    if ml.frobenius_norm(s - s.conj().T) <= threshold:
+        w, v = ml.hermitian_eig(s, tol)
+        w.flags.writeable = v.flags.writeable = False
+        spec = _Spectrum(True, threshold, w, v, None, int(np.count_nonzero(np.abs(w) > threshold)))
+    else:
+        try:
+            sv = np.linalg.svd(s, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        spec = _Spectrum(False, threshold, None, None, sv, int(np.count_nonzero(sv > threshold)))
+    c._spectra[tol] = spec
+    return spec
 
 
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
@@ -134,17 +175,15 @@ def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     Requires the block matrix to be Hermitian positive semidefinite
     within tolerance; a negative eigenvalue beyond the threshold raises
     :class:`NotCompletelyPositive` carrying the witness eigenvector.
-    Eigenvalues inside the tolerance band are dropped, so the family has
-    exactly ``higher_rank(c)`` members, ordered by decreasing weight.
+    It reads the eigensystem and the threshold ``tol.threshold(|s|_F)``
+    that the positivity test and :func:`higher_rank` read: eigenvalues
+    inside the tolerance band are dropped, so the family has exactly
+    ``higher_rank(c)`` members, ordered by decreasing weight.
     """
-    ok, witness = is_completely_positive(c, tol)
-    if not ok:
-        raise NotCompletelyPositive(
-            "block matrix is not positive semidefinite", witness=witness
-        )
-    w, v = ml.hermitian_eig(c.choi_mat, tol)
-    cut = tol.threshold(float(np.abs(w).max(initial=0.0)))
-    keep = np.flatnonzero(w > cut)
+    _require_cp(c, tol, "block matrix is not positive semidefinite")
+    spec = _spectrum(c, tol)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    keep = np.flatnonzero(w > spec.threshold)
     if keep.size == 0:
         # the zero operation still needs a representative
         return KrausSet(c.shape, (np.zeros((c.shape.m, c.shape.n)),))
@@ -215,10 +254,7 @@ def extend_with_identity(c: Channel, r: int) -> Channel:
 
 def is_hermitian_preserving(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the block matrix is Hermitian within tolerance."""
-    choi = c.choi_mat
-    return ml.frobenius_norm(choi - choi.conj().T) <= tol.threshold(
-        ml.frobenius_norm(choi)
-    )
+    return _spectrum(c, tol).hermitian
 
 
 def is_completely_positive(c: Channel, tol: Tolerance = DEFAULT_TOL):
@@ -227,17 +263,21 @@ def is_completely_positive(c: Channel, tol: Tolerance = DEFAULT_TOL):
     Returns ``(True, None)`` when every eigenvalue clears the negative
     tolerance band, else ``(False, witness)`` where the witness is the
     unit eigenvector of the most negative eigenvalue (or None when the
-    block matrix is not even Hermitian).
+    block matrix is not even Hermitian).  The band is
+    ``tol.threshold(|s|_F)`` wide.
     """
-    if not is_hermitian_preserving(c, tol):
+    spec = _spectrum(c, tol)
+    if not spec.hermitian:
         return False, None
-    choi = c.choi_mat
-    w, v = ml.hermitian_eig(choi, tol)
-    floor = -tol.threshold(ml.frobenius_norm(choi))
-    if w[-1] < floor:
-        witness = bp.BipartiteVector(c.shape, v[:, -1])
-        return False, witness
+    if spec.eigenvalues[-1] < -spec.threshold:
+        return False, bp.BipartiteVector(c.shape, spec.eigenvectors[:, -1])
     return True, None
+
+
+def _require_cp(c: Channel, tol: Tolerance, message: str) -> None:
+    ok, witness = is_completely_positive(c, tol)
+    if not ok:
+        raise NotCompletelyPositive(message, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -283,21 +323,13 @@ def check_positive_preserving(
     vals = np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
     thr = tol.threshold(ml.frobenius_norm(c.choi_mat))
     bad = np.flatnonzero(vals < -thr)
-    if bad.size:
-        first = int(bad[0])
-        return PositivityVerdict(
-            outcome="NotPositive",
-            samples_used=samples,
-            min_value=float(vals.min()),
-            witness_psi=psi[first].copy(),
-            witness_phi=phi[first].copy(),
-        )
+    first = int(bad[0]) if bad.size else None
     return PositivityVerdict(
-        outcome="NoViolationFound",
+        outcome="NoViolationFound" if first is None else "NotPositive",
         samples_used=samples,
         min_value=float(vals.min()),
-        witness_psi=None,
-        witness_phi=None,
+        witness_psi=None if first is None else psi[first].copy(),
+        witness_phi=None if first is None else phi[first].copy(),
     )
 
 
@@ -323,14 +355,7 @@ class TPConditions:
     choi_delta_pattern: bool  # sum_k s[(k,j),(k,l)] = delta_jl
 
     def as_tuple(self):
-        return (
-            self.kraus_gram,
-            self.superop_trace_row,
-            self.check_gram,
-            self.check_on_identity,
-            self.first_trace,
-            self.choi_delta_pattern,
-        )
+        return astuple(self)
 
     def decided(self):
         return tuple(x for x in self.as_tuple() if x is not None)
@@ -397,20 +422,15 @@ def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     Evaluates the scalar ``(tr F(id_n))^2 - |S|_F^2`` (with S the
     superoperator), which vanishes exactly when the block matrix has
     rank one, i.e. the operation is ``rho -> a rho a†`` for a single a.
-    The equivalent form ``(tr s)^2 - tr(s^2)`` is computed as a
-    cross-check.  Requires complete positivity.
+    The equivalent form ``(tr s)^2 - tr(s^2)`` is computed from the
+    eigenvalues of s as a cross-check.  Requires complete positivity.
     """
-    ok, witness = is_completely_positive(c, tol)
-    if not ok:
-        raise NotCompletelyPositive(
-            "factorizability is defined on the completely positive cone",
-            witness=witness,
-        )
+    _require_cp(c, tol, "factorizability is defined on the completely positive cone")
     s = superop_from_channel(c)
     t1 = np.trace(apply(c, np.eye(c.shape.n))).real
     value = t1 * t1 - float(np.vdot(s, s).real)
-    choi = c.choi_mat
-    alt = (np.trace(choi) ** 2 - np.trace(choi @ choi)).real
+    w = _spectrum(c, tol).eigenvalues
+    alt = float(w.sum()) ** 2 - float(w @ w)
     scale = t1 * t1 + float(np.vdot(s, s).real)
     if abs(value - alt) > tol.threshold(scale):
         raise NumericalFailure("factorizability cross-check disagreed")
@@ -420,21 +440,25 @@ def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 def higher_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of significant eigenvalues of the Hermitian block matrix.
 
-    Equals the minimal number of conjugation terms when the operation is
-    completely positive.  Raises :class:`NotHermitian` otherwise.
+    Counts the eigenvalue moduli above ``tol.threshold(|s|_F)``, the
+    threshold the positivity test and the Kraus cut use, so it equals
+    ``len(kraus_from_channel(c, tol))`` on the completely positive cone:
+    the minimal number of conjugation terms.  Raises
+    :class:`NotHermitian` off the Hermitian cone.
     """
-    w, _ = ml.hermitian_eig(c.choi_mat, tol)
-    return ml.numeric_rank(np.abs(w), tol)
+    spec = _spectrum(c, tol)
+    if not spec.hermitian:
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    return spec.rank
 
 
 def is_isometric_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Single conjugation by an isometry: CP, trace preserving, rank one."""
-    cp, _ = is_completely_positive(c, tol)
-    if not cp:
-        return False
-    if not is_trace_preserving(c, tol):
-        return False
-    return is_factorizable(c, tol)
+    return (
+        is_completely_positive(c, tol)[0]
+        and is_trace_preserving(c, tol)
+        and is_factorizable(c, tol)
+    )
 
 
 def extremal_span_dimension(k: KrausSet, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -455,25 +479,24 @@ def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extremality in the convex set of trace-preserving CP operations.
 
     Forms the n^2 x n^2 Gram-type matrix
-    ``E[(j,j'),(l,l')] = sum_ik conj(s[(i,j),(k,l)]) s[(i,j'),(k,l')]``
+    ``E[(j,j'),(l,l')] = sum_ik conj(s[(i,j),(k,l)]) s[(i,j'),(k,l')]``,
+    which is ``(S† S)[(j,l),(j',l')]`` with S the superoperator, and
     whose rank equals the dimension of span{ a_x† a_y } for any minimal
     Kraus family; the operation is extremal iff that rank is r^2 with
     r = higher_rank(c).  Requires CP and trace preservation.
     """
-    cp, witness = is_completely_positive(c, tol)
-    if not cp:
-        raise NotCompletelyPositive(
-            "extremality is defined for completely positive operations",
-            witness=witness,
-        )
+    _require_cp(c, tol, "extremality is defined for completely positive operations")
     if not is_trace_preserving(c, tol):
         raise NotTracePreserving(
             "extremality is defined among trace-preserving operations"
         )
-    m, n = c.shape.m, c.shape.n
-    c4 = c.choi_mat.reshape(m, n, m, n)
-    gram = np.einsum("ijkl,iJkL->jJlL", c4.conj(), c4).reshape(n * n, n * n)
-    w, _ = ml.hermitian_eig(gram, tol)
+    n = c.shape.n
+    s = superop_from_channel(c)
+    gram = (s.conj().T @ s).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    try:
+        w = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     rank_gram = ml.numeric_rank(np.abs(w), tol)
     r = higher_rank(c, tol)
     return rank_gram == r * r
@@ -511,10 +534,13 @@ def channel_equal(a: Channel, b: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 class ChannelVerdict:
     """All structural predicates of one operation, evaluated together.
 
-    ``higher_rank`` is computed from singular values so it is defined
-    even off the Hermitian cone (where it agrees with the eigenvalue
-    count).  ``factorizable`` is reported False off the CP cone, and
-    ``extremal_tp`` is None unless the operation is CP and trace
+    Every spectral field reads one analysis of the block matrix s: one
+    eigensystem on the Hermitian cone, singular values off it, and the
+    one threshold ``tol.threshold(|s|_F)``.  ``higher_rank`` counts the
+    eigenvalue moduli (singular values off the Hermitian cone) above it,
+    so it is defined everywhere and equals ``len(kraus_from_channel(c))``
+    on the CP cone.  ``factorizable`` is reported False off the CP cone,
+    and ``extremal_tp`` is None unless the operation is CP and trace
     preserving.
     """
 
@@ -535,8 +561,7 @@ def channel_verdict(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelVerdict:
     cp, witness = is_completely_positive(c, tol)
     tp = is_trace_preserving(c, tol)
     unital = is_unital(c, tol)
-    _, sv, _ = ml.svd(c.choi_mat, tol)
-    rank = int(sv.size)
+    rank = _spectrum(c, tol).rank
     fact = is_factorizable(c, tol) if cp else False
     ext = is_extremal_tp(c, tol) if (cp and tp) else None
     return ChannelVerdict(

@@ -5,8 +5,9 @@ stdout (or ``--out``).  Numbers are rendered with 17 significant digits
 so that output files are byte-stable across runs and round-trip exactly
 through IEEE doubles.
 
-Exit codes: 0 success, 2 malformed input, 3 dimension mismatch,
-4 unmet mathematical precondition, 5 numerical failure.
+Exit codes: 0 success, 2 malformed input (an unreadable document, a bad
+flag value, or an ``--out`` file that cannot be written), 3 dimension
+mismatch, 4 unmet mathematical precondition, 5 numerical failure.
 
 Document formats
 ----------------
@@ -36,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     NotCompletelyPositive,
     NotHermitian,
-    NotHermitianPreserving,
     NotTotallyEntangled,
     NotTracePreserving,
     NumericalFailure,
@@ -101,6 +101,10 @@ def matrix_doc(mat) -> dict:
         "cols": cols,
         "data": [[float(z.real), float(z.imag)] for z in flat],
     }
+
+
+def _matrix_or_none(mat):
+    return None if mat is None else matrix_doc(mat)
 
 
 # ------------------------------------------------------------------ parsing
@@ -179,9 +183,7 @@ def parse_channel(doc, ctx: str) -> ch.Channel:
     rep = _need(doc, "representation", str, ctx)
     if m < 1 or n < 1:
         raise ParseError(f"{ctx}: m and n must be positive")
-    if "payload" not in doc:
-        raise ParseError(f"{ctx}: missing key 'payload'")
-    payload = doc["payload"]
+    payload = _need(doc, "payload", object, ctx)
     shape = bp.BipartiteShape(m, n)
     if rep == "choi":
         mat = parse_matrix(payload, f"{ctx}: payload")
@@ -237,19 +239,14 @@ def cmd_classify(args) -> dict:
     tol = _tol(args)
     verdict = ch.channel_verdict(c, tol)
     positivity = ch.check_positive_preserving(c, tol, samples=args.samples, seed=args.seed)
-    witness_doc = None
-    witness_eig = None
-    if verdict.cp_witness is not None:
-        w = verdict.cp_witness.data
-        witness_doc = matrix_doc(w)
-        witness_eig = float((w.conj() @ c.choi_mat @ w).real)
+    w = None if verdict.cp_witness is None else verdict.cp_witness.data
     return {
         "m": c.shape.m,
         "n": c.shape.n,
         "hermitian_preserving": verdict.hermitian_preserving,
         "completely_positive": verdict.completely_positive,
-        "cp_witness_eigenvalue": witness_eig,
-        "cp_witness": witness_doc,
+        "cp_witness_eigenvalue": None if w is None else float((w.conj() @ c.choi_mat @ w).real),
+        "cp_witness": _matrix_or_none(w),
         "trace_preserving": verdict.trace_preserving,
         "unital": verdict.unital,
         "bistochastic": verdict.bistochastic,
@@ -260,12 +257,8 @@ def cmd_classify(args) -> dict:
             "outcome": positivity.outcome,
             "samples_used": positivity.samples_used,
             "min_value": positivity.min_value,
-            "witness_psi": None
-            if positivity.witness_psi is None
-            else matrix_doc(positivity.witness_psi),
-            "witness_phi": None
-            if positivity.witness_phi is None
-            else matrix_doc(positivity.witness_phi),
+            "witness_psi": _matrix_or_none(positivity.witness_psi),
+            "witness_phi": _matrix_or_none(positivity.witness_phi),
         },
     }
 
@@ -283,36 +276,25 @@ def cmd_decompose(args) -> dict:
             f"{args.state}: expected a {m * n} x 1 vector for cut {m} {n}, got {mat.shape}"
         )
     v = bp.BipartiteVector(bp.BipartiteShape(m, n), mat)
-    tol = _tol(args)
     if args.method == "schmidt":
-        form = decomp.schmidt(v, tol)
-        return {
-            "method": "schmidt",
-            "m": m,
-            "n": n,
+        form = decomp.schmidt(v, _tol(args))
+        fields = {
             "rank": form.rank,
             "coefficients": [float(x) for x in form.coefficients],
             "left_basis": matrix_doc(form.left_basis),
             "right_basis": matrix_doc(form.right_basis),
         }
-    if args.method == "qr":
-        form = decomp.one_sided_triangular(v, tol)
-        return {
-            "method": "qr",
-            "m": m,
-            "n": n,
+    elif args.method == "qr":
+        form = decomp.one_sided_triangular(v)
+        fields = {"basis_left": matrix_doc(form.basis_left), "coefficients": matrix_doc(form.coefficients)}
+    else:
+        form = decomp.two_sided_triangular(v)
+        fields = {
             "basis_left": matrix_doc(form.basis_left),
             "coefficients": matrix_doc(form.coefficients),
+            "basis_right": matrix_doc(form.basis_right),
         }
-    form = decomp.two_sided_triangular(v, tol)
-    return {
-        "method": "schur",
-        "m": m,
-        "n": n,
-        "basis_left": matrix_doc(form.basis_left),
-        "coefficients": matrix_doc(form.coefficients),
-        "basis_right": matrix_doc(form.basis_right),
-    }
+    return {"method": args.method, "m": m, "n": n, **fields}
 
 
 def cmd_compose(args) -> dict:
@@ -361,13 +343,33 @@ def cmd_measure(args) -> dict:
 # -------------------------------------------------------------- entry point
 
 
+def _flag_type(convert, ok, what: str):
+    """argparse ``type=`` that rejects values failing ``ok`` (exit code 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE_INT = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_SEED = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_TOLERANCE = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=1e-12, help="absolute tolerance")
-    common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    common.add_argument("--tol-abs", type=_TOLERANCE, default=1e-12, help="absolute tolerance")
+    common.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9, help="relative tolerance")
+    common.add_argument("--seed", type=_SEED, default=0, help="seed for randomized checks")
     common.add_argument(
-        "--samples", type=int, default=10000, help="sample count for randomized checks"
+        "--samples", type=_POSITIVE_INT, default=10000, help="sample count for randomized checks"
     )
     common.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
 
@@ -389,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[common], help="decompose a bipartite vector")
     p.add_argument("state", help="vector JSON file (rows = m*n, cols = 1)")
     p.add_argument("--method", required=True, choices=["schmidt", "qr", "schur"])
-    p.add_argument("--cut", required=True, nargs=2, type=int, metavar=("M", "N"))
+    p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser(
@@ -411,12 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ppt", parents=[common], help="partial-transpose positivity test")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) Hermitian matrix)")
-    p.add_argument("--cut", required=True, nargs=2, type=int, metavar=("M", "N"))
+    p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.set_defaults(run=cmd_ppt)
 
     p = sub.add_parser("measure", parents=[common], help="act on a measurement operator through a state")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) matrix)")
-    p.add_argument("--cut", required=True, nargs=2, type=int, metavar=("M", "N"))
+    p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.add_argument("--m-op", required=True, help="measurement operator JSON file (n x n)")
     p.set_defaults(run=cmd_measure)
 
@@ -427,7 +429,6 @@ _PRECONDITION_ERRORS = (
     NotHermitian,
     NotCompletelyPositive,
     NotTracePreserving,
-    NotHermitianPreserving,
     NotTotallyEntangled,
     SingularMatrix,
     DifferentChannels,
@@ -454,8 +455,12 @@ def main(argv=None) -> int:
         return 5
     text = render_document(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"choikit: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

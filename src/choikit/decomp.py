@@ -49,12 +49,8 @@ class SchmidtForm:
     rank: int
 
     def reconstruct(self) -> bp.BipartiteVector:
-        data = np.zeros(self.shape.dim, dtype=complex)
-        for i in range(self.rank):
-            data += self.coefficients[i] * bp.kron(
-                self.left_basis[:, i : i + 1], self.right_basis[:, i : i + 1]
-            ).reshape(-1)
-        return bp.BipartiteVector(self.shape, data)
+        mat = (self.left_basis * self.coefficients) @ self.right_basis.T
+        return bp.BipartiteVector(self.shape, mat.reshape(-1))
 
 
 def schmidt(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtForm:
@@ -84,7 +80,7 @@ def polar_of_pure_channel(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL):
     Requires m >= n so that an isometric u exists.
     """
     a = bp.hat(v)
-    u, j, k = ml.polar(a, tol)
+    u, j, k = ml.polar(a)
     proj = np.outer(v.data, v.data.conj())
     op = bp.BipartiteOperator(v.shape, proj)
     j_bridge = ml.sqrt_psd(bp.partial_trace_1(op), tol).T
@@ -118,13 +114,13 @@ class TriangularForm:
         return self.basis_left @ self.coefficients @ self.basis_right.conj().T
 
 
-def one_sided_triangular(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> TriangularForm:
+def one_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
     """QR form of hat(v); needs m >= n."""
     q, r = ml.qr(bp.hat(v))
     return TriangularForm(basis_left=q, coefficients=r)
 
 
-def two_sided_triangular(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> TriangularForm:
+def two_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
     """Schur form of hat(v); needs m == n.
 
     The same unitary appears on both sides, and the diagonal of the

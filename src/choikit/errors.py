@@ -36,10 +36,6 @@ class NotTracePreserving(ChoikitError):
     """The operation was required to be trace preserving but is not."""
 
 
-class NotHermitianPreserving(ChoikitError):
-    """The operation does not map Hermitian inputs to Hermitian outputs."""
-
-
 class NotTotallyEntangled(ChoikitError):
     """The state is not pure with an invertible matrix form, so it lies
     outside the group of totally entangled pure states."""

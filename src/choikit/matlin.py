@@ -26,11 +26,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
-    "matmul",
-    "adjoint",
-    "transpose",
-    "conjugate",
-    "trace",
     "frobenius_inner",
     "frobenius_norm",
     "nearly_equal",
@@ -76,30 +71,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
-def conjugate(a) -> np.ndarray:
-    return as_matrix(a).conj()
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
+def _frozen_copy(a) -> np.ndarray:
+    """Read-only copy of ``a``, checked like :func:`as_matrix`; the wrapper
+    types store these, so no write reaches them or comes from them."""
+    m = as_matrix(np.array(a, dtype=complex))
+    m.flags.writeable = False
+    return m
 
 
 def frobenius_inner(a, b) -> complex:
@@ -136,18 +113,24 @@ def numeric_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(values > tol.threshold(top)))
 
 
-def _fix_column_phases(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real >= 0."""
-    u = np.array(u, dtype=complex)
-    for c in range(u.shape[1]):
-        col = u[:, c]
-        mags = np.abs(col)
-        top = mags.max(initial=0.0)
-        if top == 0.0:
-            continue
-        lead = int(np.flatnonzero(mags > top * 1e-8)[0])
-        u[:, c] = col * (mags[lead] / col[lead])
-    return u
+def _fix_column_phases(u: np.ndarray):
+    """Rotate each column so its first significant entry is real >= 0.
+
+    Returns the rotated copy and the unit factor each column was
+    multiplied by (1 for a zero column).
+    """
+    u = np.asarray(u, dtype=complex)
+    mags = np.abs(u)
+    top = mags.max(axis=0, initial=0.0)
+    lead = np.argmax(mags > top * 1e-8, axis=0)
+    cols = np.arange(u.shape[1])
+    live = top > 0.0
+    factors = np.ones(u.shape[1], dtype=complex)
+    factors[live] = mags[lead, cols][live] / u[lead, cols][live]
+    # Scaling through the transpose runs numpy's column-times-scalar loop,
+    # so the bytes match scaling one column at a time; a row-broadcast
+    # product can round differently.
+    return (u.T * factors[:, np.newaxis]).T, factors
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
@@ -168,7 +151,7 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w)[::-1]
-    return w[order], _fix_column_phases(v[:, order])
+    return w[order], _fix_column_phases(v[:, order])[0]
 
 
 def svd(a, tol: Tolerance = DEFAULT_TOL):
@@ -185,15 +168,8 @@ def svd(a, tol: Tolerance = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     r = numeric_rank(s, tol)
-    u, s, w = u[:, :r], s[:r], vh[:r].conj().T
-    for c in range(r):
-        col = u[:, c]
-        mags = np.abs(col)
-        lead = int(np.flatnonzero(mags > mags.max() * 1e-8)[0])
-        phase = col[lead] / mags[lead]
-        u[:, c] = col * phase.conj()
-        w[:, c] = w[:, c] * phase.conj()
-    return u, s, w
+    u, factors = _fix_column_phases(u[:, :r])
+    return u, s[:r], vh[:r].conj().T * factors
 
 
 def qr(a):
@@ -233,7 +209,7 @@ def schur(a):
     return u, t
 
 
-def polar(a, tol: Tolerance = DEFAULT_TOL):
+def polar(a):
     """Polar forms of a tall or square matrix.
 
     Returns ``(u, j, k)`` with ``u`` an isometry (``u† u = id``) and

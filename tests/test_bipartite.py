@@ -35,6 +35,21 @@ class TestShapesAndContainers:
         with pytest.raises(DimensionMismatch):
             bp.BipartiteOperator(bp.BipartiteShape(2, 2), np.eye(3))
 
+    def test_containers_hold_read_only_copies(self):
+        shape = bp.BipartiteShape(2, 2)
+        mat = np.eye(4, dtype=complex)
+        data = np.arange(4, dtype=complex)
+        op = bp.BipartiteOperator(shape, mat)
+        v = bp.BipartiteVector(shape, data)
+        mat[0, 0] = 7.0
+        data[0] = 7.0
+        assert op.mat[0, 0] == 1.0 and v.data[0] == 0.0
+        assert mat.flags.writeable and data.flags.writeable
+        with pytest.raises(ValueError):
+            op.mat[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            v.data[0] = 2.0
+
 
 class TestHatUnhat:
     def test_hat_rowmajor_layout(self):

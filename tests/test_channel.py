@@ -3,6 +3,7 @@ import pytest
 
 from choikit import bipartite as bp
 from choikit import channel as ch
+from choikit import matlin as ml
 from choikit.errors import (
     DimensionMismatch,
     NotCompletelyPositive,
@@ -495,6 +496,70 @@ class TestTraceOfFirstFactorIdentity:
                             s_small[i * m + k, j * n + l] += s8[p, i, p, k, j, l]
         small = ch.channel_from_superop(s_small, bp.BipartiteShape(m, n))
         assert np.allclose(traced, small.choi_mat, atol=1e-13)
+
+
+class TestImmutability:
+    def test_later_write_to_input_does_not_reach_the_channel(self):
+        m = np.eye(4) / 2
+        c = ch.channel_from_choi(m, S2)
+        m[0, 0] = -5
+        assert ch.is_completely_positive(c) == (True, None)
+        assert m.flags.writeable
+
+    def test_choi_matrix_is_read_only(self):
+        c = ch.channel_from_choi(np.eye(4) / 2, S2)
+        with pytest.raises(ValueError):
+            c.choi_mat[0, 0] = -5
+
+    def test_kraus_family_holds_read_only_copies(self):
+        op = np.eye(2)
+        k = ch.KrausSet(S2, (op,))
+        op[0, 0] = 3.0
+        assert k.ops[0][0, 0] == 1.0
+        with pytest.raises(ValueError):
+            k.ops[0][0, 0] = 3.0
+
+
+class TestToleranceBoundary:
+    def test_rank_kraus_count_and_verdict_agree(self):
+        # one Choi eigenvalue inside the negative tolerance band, the rest 1/8
+        d = 8
+        rng = np.random.default_rng(0)
+        u = random_unitary(rng, d * d)
+        w = np.full(d * d, 1.0 / d)
+        w[-1] = -5e-10
+        c = ch.channel_from_choi((u * w) @ u.conj().T, bp.BipartiteShape(d, d))
+        v = ch.channel_verdict(c)
+        assert v.completely_positive
+        assert ch.higher_rank(c) == len(ch.kraus_from_channel(c)) == v.higher_rank
+
+
+class TestSharedSpectrum:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"hermitian_eig": 0, "svd": 0}
+        for name in counts:
+            original = getattr(ml, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ml, name, counted)
+        return counts
+
+    def test_verdict_factorises_the_choi_matrix_once(self, counts):
+        c = random_tp_channel(np.random.default_rng(4), 3, 3, 2)
+        tol = ml.Tolerance()
+        v = ch.channel_verdict(c, tol)
+        assert v.completely_positive and v.trace_preserving
+        assert counts == {"hermitian_eig": 1, "svd": 0}
+        ch.kraus_from_channel(c, tol)
+        ch.six_tp_conditions(c, tol)
+        ch.is_isometric_channel(c, tol)
+        assert counts == {"hermitian_eig": 1, "svd": 0}
+        ch.higher_rank(c, ml.Tolerance(rel=1e-6))
+        assert counts == {"hermitian_eig": 2, "svd": 0}
 
 
 class TestVerdict:

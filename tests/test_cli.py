@@ -277,6 +277,26 @@ class TestParsingAndExitCodes:
         with pytest.raises(ParseError):
             parse_matrix({"rows": 1, "cols": 1, "data": [[True, 0]]}, "x")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", str(DATA / "identity.json"), "--samples", "0"],
+            ["classify", str(DATA / "identity.json"), "--tol-abs", "-1"],
+            ["decompose", str(ROOT / "data" / "states" / "bell_vector.json"),
+             "--method", "schmidt", "--cut", "-2", "-2"],
+            ["classify", str(DATA / "identity.json"), "--out", "{tmp}/missing/dir/x.json"],
+        ],
+        ids=["samples-0", "negative-tol-abs", "negative-cut", "unwritable-out"],
+    )
+    def test_bad_flag_or_output_path_exits_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag value
+            code = exc.code
+        assert code == 2
+        assert "choikit" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

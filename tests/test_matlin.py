@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from choikit import matlin as ml
 from choikit.errors import DimensionMismatch, NotHermitian
 
-from helpers import char_poly_eigvals, crandn, multiset_distance
+from helpers import char_poly_eigvals, crandn, multiset_distance, random_hermitian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -29,24 +29,6 @@ class TestTolerance:
 
 
 class TestElementary:
-    def test_matmul_pauli_x_squares_to_identity(self):
-        assert np.array_equal(ml.matmul(X, X), np.eye(2))
-
-    def test_matmul_shape_check(self):
-        with pytest.raises(DimensionMismatch):
-            ml.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_adjoint_transpose_conjugate(self):
-        a = np.array([[1 + 2j, 3], [0, -1j]])
-        assert np.array_equal(ml.adjoint(a), a.conj().T)
-        assert np.array_equal(ml.transpose(a), a.T)
-        assert np.array_equal(ml.conjugate(a), a.conj())
-
-    def test_trace(self):
-        assert ml.trace(np.diag([1.0, 2.0, 3.0])) == 6.0
-        with pytest.raises(DimensionMismatch):
-            ml.trace(np.ones((2, 3)))
-
     def test_frobenius_inner_of_x_with_itself(self):
         assert ml.frobenius_inner(X, X) == 2.0
 
@@ -100,6 +82,27 @@ class TestHermitianEig:
             col = v[:, c]
             lead = col[np.flatnonzero(np.abs(col) > np.abs(col).max() * 1e-8)[0]]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+    def test_phase_fix_matches_column_loop_bytes(self):
+        # the reference: one column at a time, as the golden files were made
+        def by_columns(u):
+            u = np.array(u, dtype=complex)
+            for c in range(u.shape[1]):
+                mags = np.abs(u[:, c])
+                if mags.max() > 0.0:
+                    lead = np.flatnonzero(mags > mags.max() * 1e-8)[0]
+                    u[:, c] = u[:, c] * (mags[lead] / u[lead, c])
+            return u
+
+        rng = np.random.default_rng(23)
+        for n in range(1, 40):
+            _, v = np.linalg.eigh(random_hermitian(rng, n))
+            a = crandn(rng, n, 3)
+            a[:, 0] = 0.0
+            for u in (v, np.asfortranarray(v), a):
+                fixed, factors = ml._fix_column_phases(u)
+                assert fixed.tobytes() == by_columns(u).tobytes()
+                assert np.allclose(fixed, u * factors, rtol=0.0, atol=1e-14)
 
 
 class TestSvd:
