@@ -21,7 +21,7 @@ from . import matlin as ml
 from .channel import Channel, channel_from_superop
 from .errors import (
     DimensionMismatch,
-    NotHermitian,
+    NotCompletelyPositive,
     NotTotallyEntangled,
     NumericalFailure,
     SingularMatrix,
@@ -88,10 +88,9 @@ def phi_homomorphism(a, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     a = ml.as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= tol.threshold(float(sv[0])):
-        raise SingularMatrix("matrix is singular within tolerance")
     n = a.shape[0]
+    if n == 0 or ml.numeric_rank(np.linalg.svd(a, compute_uv=False), tol) < n:
+        raise SingularMatrix("matrix is singular within tolerance")
     v = a.reshape(n * n)
     return StateSquare(n, bp.BipartiteOperator(bp.BipartiteShape(n, n), np.outer(v, v.conj())))
 
@@ -106,11 +105,10 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     :class:`NotTotallyEntangled`.
     """
     w, vecs = ml.hermitian_eig(s.mat, tol)
-    if ml.numeric_rank(np.abs(w), tol) != 1 or w[0] <= 0:
+    if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
         raise NotTotallyEntangled("state is not a rank-one projector")
     a = np.sqrt(w[0]) * vecs[:, 0].reshape(s.n, s.n)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= tol.threshold(float(sv[0])):
+    if ml.numeric_rank(np.linalg.svd(a, compute_uv=False), tol) < s.n:
         raise NotTotallyEntangled("matrix form of the state is singular")
     inv = np.linalg.inv(a)
     v = inv.reshape(s.n * s.n)
@@ -147,15 +145,15 @@ def classify_entanglement(
     Product states have Schmidt rank one.  On square shapes (m == n),
     full Schmidt rank means totally entangled (the matrix form is
     invertible); equal coefficients on top of that means maximally
-    entangled.  Operator inputs must be Hermitian positive semidefinite;
-    those of rank two or more are reported as mixed.
+    entangled.  Operator inputs must be Hermitian positive semidefinite
+    (:class:`NotCompletelyPositive` otherwise); those of rank two or more
+    are reported as mixed.
     """
     if isinstance(state, bp.BipartiteOperator):
         w, vecs = ml.hermitian_eig(state.mat, tol)
-        floor = -tol.threshold(float(np.abs(w).max(initial=0.0)))
-        if w[-1] < floor:
-            raise NotHermitian("operator input must be positive semidefinite")
-        if ml.numeric_rank(np.abs(w), tol) != 1:
+        if not ml._is_psd(w, tol):
+            raise NotCompletelyPositive("operator input must be positive semidefinite")
+        if ml.numeric_rank(w, tol) != 1:
             return EntanglementClass(EntanglementKind.MIXED, None, None)
         state = bp.BipartiteVector(state.shape, np.sqrt(w[0]) * vecs[:, 0])
     u, s, wb = ml.svd(bp.hat(state), tol)
@@ -220,13 +218,15 @@ class PPTVerdict:
 
 
 def ppt_test(s: bp.BipartiteOperator, tol: Tolerance = DEFAULT_TOL) -> PPTVerdict:
-    """Check positivity of both partial transposes of a Hermitian operator."""
-    if ml.frobenius_norm(s.mat - s.mat.conj().T) > tol.threshold(ml.frobenius_norm(s.mat)):
-        raise NotHermitian("partial-transpose test needs a Hermitian operator")
+    """Check positivity of both partial transposes of a Hermitian operator.
+
+    A partial transpose has the Frobenius norm and the anti-Hermitian
+    residual of ``s``, so :func:`matlin.hermitian_eig` raises
+    :class:`NotHermitian` exactly when ``s`` is not Hermitian.
+    """
     w1, _ = ml.hermitian_eig(bp.partial_transpose_1(s).mat, tol)
     w2, _ = ml.hermitian_eig(bp.partial_transpose_2(s).mat, tol)
-    floor = -tol.threshold(ml.frobenius_norm(s.mat))
-    ok1, ok2 = bool(w1[-1] >= floor), bool(w2[-1] >= floor)
+    ok1, ok2 = ml._is_psd(w1, tol), ml._is_psd(w2, tol)
     if ok1 != ok2:
         raise NumericalFailure("the two partial transposes disagreed on positivity")
     if w1[-1] < w2[-1]:

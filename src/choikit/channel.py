@@ -115,42 +115,17 @@ class KrausSet:
         return len(self.ops)
 
 
-@dataclass(frozen=True)
-class _Spectrum:
-    """One spectral analysis of a block matrix s at one tolerance.
-
-    ``threshold`` is ``tol.threshold(|s|_F)``, the one scale for the
-    Hermiticity test, the positivity floor, the rank and the Kraus cut.
-    Eigenvalues (decreasing) and eigenvectors are set on the Hermitian
-    cone, singular values off it; ``rank`` counts moduli above threshold.
-    """
-
-    hermitian: bool
-    threshold: float
-    eigenvalues: Optional[np.ndarray]
-    eigenvectors: Optional[np.ndarray]
-    singular_values: Optional[np.ndarray]
-    rank: int
-
-
-def _spectrum(c: Channel, tol: Tolerance) -> _Spectrum:
-    """The spectral analysis of ``c`` at ``tol``, computed once and kept."""
-    if tol in c._spectra:
-        return c._spectra[tol]
-    s = c.choi_mat
-    threshold = tol.threshold(ml.frobenius_norm(s))
-    if ml.frobenius_norm(s - s.conj().T) <= threshold:
-        w, v = ml.hermitian_eig(s, tol)
-        w.flags.writeable = v.flags.writeable = False
-        spec = _Spectrum(True, threshold, w, v, None, int(np.count_nonzero(np.abs(w) > threshold)))
-    else:
+def _spectrum(c: Channel, tol: Tolerance):
+    """``hermitian_eig(s, tol)`` of the block matrix s, or None when s is
+    not Hermitian within tolerance; computed once per tolerance and kept."""
+    if tol not in c._spectra:
         try:
-            sv = np.linalg.svd(s, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        spec = _Spectrum(False, threshold, None, None, sv, int(np.count_nonzero(sv > threshold)))
-    c._spectra[tol] = spec
-    return spec
+            w, v = ml.hermitian_eig(c.choi_mat, tol)
+            w.flags.writeable = v.flags.writeable = False
+            c._spectra[tol] = (w, v)
+        except NotHermitian:
+            c._spectra[tol] = None
+    return c._spectra[tol]
 
 
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
@@ -175,20 +150,18 @@ def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     Requires the block matrix to be Hermitian positive semidefinite
     within tolerance; a negative eigenvalue beyond the threshold raises
     :class:`NotCompletelyPositive` carrying the witness eigenvector.
-    It reads the eigensystem and the threshold ``tol.threshold(|s|_F)``
-    that the positivity test and :func:`higher_rank` read: eigenvalues
-    inside the tolerance band are dropped, so the family has exactly
-    ``higher_rank(c)`` members, ordered by decreasing weight.
+    It keeps the first ``higher_rank(c)`` eigenpairs, so eigenvalues
+    inside the tolerance band of :func:`matlin.numeric_rank` are dropped
+    and the members are ordered by decreasing weight.
     """
     _require_cp(c, tol, "block matrix is not positive semidefinite")
-    spec = _spectrum(c, tol)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    keep = np.flatnonzero(w > spec.threshold)
-    if keep.size == 0:
+    w, v = _spectrum(c, tol)
+    r = ml.numeric_rank(w, tol)
+    if r == 0:
         # the zero operation still needs a representative
         return KrausSet(c.shape, (np.zeros((c.shape.m, c.shape.n)),))
     ops = tuple(
-        np.sqrt(w[i]) * v[:, i].reshape(c.shape.m, c.shape.n) for i in keep
+        np.sqrt(w[i]) * v[:, i].reshape(c.shape.m, c.shape.n) for i in range(r)
     )
     return KrausSet(c.shape, ops)
 
@@ -254,7 +227,7 @@ def extend_with_identity(c: Channel, r: int) -> Channel:
 
 def is_hermitian_preserving(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the block matrix is Hermitian within tolerance."""
-    return _spectrum(c, tol).hermitian
+    return _spectrum(c, tol) is not None
 
 
 def is_completely_positive(c: Channel, tol: Tolerance = DEFAULT_TOL):
@@ -264,13 +237,14 @@ def is_completely_positive(c: Channel, tol: Tolerance = DEFAULT_TOL):
     tolerance band, else ``(False, witness)`` where the witness is the
     unit eigenvector of the most negative eigenvalue (or None when the
     block matrix is not even Hermitian).  The band is
-    ``tol.threshold(|s|_F)`` wide.
+    ``tol.threshold(|s|_F)`` wide (:func:`matlin.numeric_rank`).
     """
     spec = _spectrum(c, tol)
-    if not spec.hermitian:
+    if spec is None:
         return False, None
-    if spec.eigenvalues[-1] < -spec.threshold:
-        return False, bp.BipartiteVector(c.shape, spec.eigenvectors[:, -1])
+    w, v = spec
+    if not ml._is_psd(w, tol):
+        return False, bp.BipartiteVector(c.shape, v[:, -1])
     return True, None
 
 
@@ -422,17 +396,19 @@ def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     Evaluates the scalar ``(tr F(id_n))^2 - |S|_F^2`` (with S the
     superoperator), which vanishes exactly when the block matrix has
     rank one, i.e. the operation is ``rho -> a rho a†`` for a single a.
-    The equivalent form ``(tr s)^2 - tr(s^2)`` is computed from the
+    Both terms are read off the block matrix s: ``tr F(id_n) = tr s``,
+    and ``|S|_F = |s|_F`` since reshuffling only permutes entries.  The
+    equivalent form ``(tr s)^2 - tr(s^2)`` is computed from the
     eigenvalues of s as a cross-check.  Requires complete positivity.
     """
     _require_cp(c, tol, "factorizability is defined on the completely positive cone")
-    s = superop_from_channel(c)
-    t1 = np.trace(apply(c, np.eye(c.shape.n))).real
-    value = t1 * t1 - float(np.vdot(s, s).real)
-    w = _spectrum(c, tol).eigenvalues
+    s = c.choi_mat
+    t1 = np.trace(s).real
+    norm2 = float(np.vdot(s, s).real)
+    value = t1 * t1 - norm2
+    w, _ = _spectrum(c, tol)
     alt = float(w.sum()) ** 2 - float(w @ w)
-    scale = t1 * t1 + float(np.vdot(s, s).real)
-    if abs(value - alt) > tol.threshold(scale):
+    if abs(value - alt) > tol.threshold(t1 * t1 + norm2):
         raise NumericalFailure("factorizability cross-check disagreed")
     return bool(abs(value) <= tol.threshold(t1 * t1))
 
@@ -440,16 +416,17 @@ def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 def higher_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of significant eigenvalues of the Hermitian block matrix.
 
-    Counts the eigenvalue moduli above ``tol.threshold(|s|_F)``, the
-    threshold the positivity test and the Kraus cut use, so it equals
+    Counts the eigenvalue moduli above ``tol.threshold(|s|_F)``
+    (:func:`matlin.numeric_rank`), the threshold the positivity test and
+    the Kraus cut use, so it equals
     ``len(kraus_from_channel(c, tol))`` on the completely positive cone:
     the minimal number of conjugation terms.  Raises
     :class:`NotHermitian` off the Hermitian cone.
     """
     spec = _spectrum(c, tol)
-    if not spec.hermitian:
+    if spec is None:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    return spec.rank
+    return ml.numeric_rank(spec[0], tol)
 
 
 def is_isometric_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -497,7 +474,7 @@ def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
         w = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    rank_gram = ml.numeric_rank(np.abs(w), tol)
+    rank_gram = ml.numeric_rank(w, tol)
     r = higher_rank(c, tol)
     return rank_gram == r * r
 
@@ -534,11 +511,12 @@ def channel_equal(a: Channel, b: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 class ChannelVerdict:
     """All structural predicates of one operation, evaluated together.
 
-    Every spectral field reads one analysis of the block matrix s: one
-    eigensystem on the Hermitian cone, singular values off it, and the
-    one threshold ``tol.threshold(|s|_F)``.  ``higher_rank`` counts the
-    eigenvalue moduli (singular values off the Hermitian cone) above it,
-    so it is defined everywhere and equals ``len(kraus_from_channel(c))``
+    Every spectral field reads one analysis of the block matrix s (its
+    eigensystem on the Hermitian cone, its singular values off it) and
+    the one threshold ``tol.threshold(|s|_F)`` of
+    :func:`matlin.numeric_rank`.  ``higher_rank`` counts the eigenvalue
+    moduli (singular values off the Hermitian cone) above it, so it is
+    defined everywhere and equals ``len(kraus_from_channel(c))``
     on the CP cone.  ``factorizable`` is reported False off the CP cone,
     and ``extremal_tp`` is None unless the operation is CP and trace
     preserving.
@@ -561,7 +539,13 @@ def channel_verdict(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelVerdict:
     cp, witness = is_completely_positive(c, tol)
     tp = is_trace_preserving(c, tol)
     unital = is_unital(c, tol)
-    rank = _spectrum(c, tol).rank
+    if hp:
+        rank = higher_rank(c, tol)
+    else:
+        try:
+            rank = ml.numeric_rank(np.linalg.svd(c.choi_mat, compute_uv=False), tol)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
     fact = is_factorizable(c, tol) if cp else False
     ext = is_extremal_tp(c, tol) if (cp and tp) else None
     return ChannelVerdict(

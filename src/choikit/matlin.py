@@ -7,7 +7,8 @@ wrappers exist so the rest of the package gets one fixed normalization:
 * returned basis columns have their first significant component real and
   non-negative (fixes the arbitrary phase);
 * ``qr`` returns an R factor with real non-negative diagonal;
-* rank decisions use one shared :class:`Tolerance` rule.
+* rank, positivity and invertibility decisions use one shared
+  :class:`Tolerance` rule (see :func:`numeric_rank`).
 
 All functions accept anything ``np.asarray`` turns into a complex 2-D
 array and raise :class:`DimensionMismatch` on shape violations.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotCompletelyPositive, NotHermitian
 
 __all__ = [
     "Tolerance",
@@ -45,6 +46,9 @@ class Tolerance:
 
     A comparison at scale ``s`` uses the threshold ``max(abs, rel * s)``,
     where ``s`` is the Frobenius norm of the largest operand involved.
+    Rank and positive semidefiniteness are judged on a spectrum at the
+    scale of its 2-norm, which is the Frobenius norm of the matrix for
+    singular values and for the eigenvalues of a Hermitian matrix.
     """
 
     abs: float = 1e-12
@@ -100,17 +104,22 @@ def nearly_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return frobenius_norm(a - b) <= tol.threshold(scale)
 
 
-def numeric_rank(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Count entries of a non-negative 1-D array above the rank threshold.
+def numeric_rank(values, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Count entries of a 1-D array whose modulus exceeds the rank threshold.
 
-    The threshold is taken at the scale of the largest entry, so uniform
-    rescaling of the input does not change the answer.
+    The threshold is ``tol.threshold(|values|_2)``: for singular values,
+    or the eigenvalues of a Hermitian matrix, that is the threshold at
+    the matrix's Frobenius norm.  Uniform rescaling of the input does not
+    change the answer while the threshold is above the absolute floor.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0
-    top = float(values.max(initial=0.0))
-    return int(np.count_nonzero(values > tol.threshold(top)))
+    mods = np.abs(np.asarray(values))
+    return int(np.count_nonzero(mods > tol.threshold(float(np.linalg.norm(mods)))))
+
+
+def _is_psd(w: np.ndarray, tol: Tolerance) -> bool:
+    """Whether the eigenvalues ``w`` of a Hermitian matrix clear the
+    negative tolerance band, the band of :func:`numeric_rank`."""
+    return bool(w.min(initial=0.0) >= -tol.threshold(float(np.linalg.norm(w))))
 
 
 def _fix_column_phases(u: np.ndarray):
@@ -158,7 +167,8 @@ def svd(a, tol: Tolerance = DEFAULT_TOL):
     """Rank-truncated singular value decomposition.
 
     Returns ``(u, s, w)`` with ``a ~= u @ diag(s) @ w†`` where only the
-    singular values above the rank threshold are kept, ``s`` is strictly
+    singular values above the rank threshold of :func:`numeric_rank`
+    (``tol.threshold(|a|_F)``) are kept, ``s`` is strictly
     decreasing up to ties, and the columns of ``u`` are phase-fixed (the
     compensating phase goes into ``w``).
     """
@@ -236,12 +246,10 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues inside the negative tolerance band are clipped to zero;
-    anything below the band raises :class:`NotHermitian` upstream or a
-    ValueError here.
+    anything below the band raises :class:`NotCompletelyPositive`.
     """
     w, v = hermitian_eig(a, tol)
-    floor = -tol.threshold(float(np.abs(w).max(initial=0.0)))
-    if w.min(initial=0.0) < floor:
-        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+    if not _is_psd(w, tol):
+        raise NotCompletelyPositive("matrix has a negative eigenvalue beyond tolerance")
     w = np.clip(w, 0.0, None)
     return v @ (np.sqrt(w)[:, np.newaxis] * v.conj().T)

@@ -6,6 +6,7 @@ from choikit import bipartite as bp
 from choikit import channel as ch
 from choikit.errors import (
     DimensionMismatch,
+    NotCompletelyPositive,
     NotHermitian,
     NotTotallyEntangled,
     SingularMatrix,
@@ -180,7 +181,7 @@ class TestClassification:
 
     def test_indefinite_operator_rejected(self):
         op = bp.BipartiteOperator(bp.BipartiteShape(2, 2), np.diag([1.0, -1.0, 0.0, 0.0]))
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotCompletelyPositive):
             alg.classify_entanglement(op)
 
 

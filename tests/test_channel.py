@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from choikit import algebra as alg
 from choikit import bipartite as bp
 from choikit import channel as ch
 from choikit import matlin as ml
@@ -521,17 +522,31 @@ class TestImmutability:
 
 
 class TestToleranceBoundary:
-    def test_rank_kraus_count_and_verdict_agree(self):
+    D8 = bp.BipartiteShape(8, 8)
+
+    @pytest.fixture
+    def boundary(self):
         # one Choi eigenvalue inside the negative tolerance band, the rest 1/8
         d = 8
         rng = np.random.default_rng(0)
         u = random_unitary(rng, d * d)
         w = np.full(d * d, 1.0 / d)
         w[-1] = -5e-10
-        c = ch.channel_from_choi((u * w) @ u.conj().T, bp.BipartiteShape(d, d))
+        return (u * w) @ u.conj().T
+
+    def test_rank_kraus_count_and_verdict_agree(self, boundary):
+        c = ch.channel_from_choi(boundary, self.D8)
         v = ch.channel_verdict(c)
         assert v.completely_positive
         assert ch.higher_rank(c) == len(ch.kraus_from_channel(c)) == v.higher_rank
+
+    def test_state_predicates_accept_what_the_channel_ones_do(self, boundary):
+        # the same matrix as a state: positivity is decided by the same rule
+        op = bp.BipartiteOperator(self.D8, boundary)
+        assert alg.classify_entanglement(op).kind is alg.EntanglementKind.MIXED
+        root = ml.sqrt_psd(boundary)
+        assert np.allclose(root @ root, boundary, rtol=0.0, atol=1e-9)
+        assert isinstance(alg.ppt_test(op), alg.PPTVerdict)
 
 
 class TestSharedSpectrum:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choikit import matlin as ml
-from choikit.errors import DimensionMismatch, NotHermitian
+from choikit.errors import DimensionMismatch, NotCompletelyPositive, NotHermitian
 
 from helpers import char_poly_eigvals, crandn, multiset_distance, random_hermitian
 
@@ -237,9 +237,16 @@ class TestSqrtPsd:
         s = ml.sqrt_psd(p)
         assert np.allclose(s @ s, p, atol=1e-10)
 
+    def test_indefinite_rejected(self):
+        with pytest.raises(NotCompletelyPositive):
+            ml.sqrt_psd(np.diag([1.0, -1e-3]))
+
 
 class TestRank:
-    def test_numeric_rank_scales_with_largest_value(self):
+    def test_numeric_rank_scales_with_two_norm(self):
+        # the threshold is taken at the 2-norm of the values, not the largest one:
+        # here |values|_2 = 2 puts it at 2e-9, above the last entry
+        assert ml.numeric_rank(np.array([1.0, 1.0, 1.0, 1.0, 1.5e-9])) == 4
         assert ml.numeric_rank(np.array([1.0, 1e-15])) == 1
         assert ml.numeric_rank(np.array([1.0, 1e-6])) == 2
         # rescaling does not change the count while above the absolute floor
