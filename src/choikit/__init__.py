@@ -89,6 +89,7 @@ from .errors import (
     ConvergenceFailure,
     DifferentChannels,
     DimensionMismatch,
+    InvalidValue,
     NotCompletelyPositive,
     NotHermitian,
     NotTotallyEntangled,

@@ -89,7 +89,7 @@ def phi_homomorphism(a, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     n = a.shape[0]
-    if n == 0 or ml.numeric_rank(np.linalg.svd(a, compute_uv=False), tol) < n:
+    if n == 0 or ml.matrix_rank(a, tol) < n:
         raise SingularMatrix("matrix is singular within tolerance")
     v = a.reshape(n * n)
     return StateSquare(n, bp.BipartiteOperator(bp.BipartiteShape(n, n), np.outer(v, v.conj())))
@@ -108,9 +108,10 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
         raise NotTotallyEntangled("state is not a rank-one projector")
     a = np.sqrt(w[0]) * vecs[:, 0].reshape(s.n, s.n)
-    if ml.numeric_rank(np.linalg.svd(a, compute_uv=False), tol) < s.n:
+    if ml.matrix_rank(a, tol) < s.n:
         raise NotTotallyEntangled("matrix form of the state is singular")
-    inv = np.linalg.inv(a)
+    with ml._linalg_guard():
+        inv = np.linalg.inv(a)
     v = inv.reshape(s.n * s.n)
     return StateSquare(s.n, bp.BipartiteOperator(s.op.shape, np.outer(v, v.conj())))
 

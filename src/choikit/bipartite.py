@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 from .matlin import _frozen_copy, as_matrix
 
 __all__ = [
@@ -57,7 +57,7 @@ class BipartiteShape:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"factor dimensions must be positive, got {self}")
+            raise InvalidValue(f"factor dimensions must be positive, got {self}")
 
     @property
     def dim(self) -> int:
@@ -65,15 +65,12 @@ class BipartiteShape:
 
 
 def _as_vector(data, length: int) -> np.ndarray:
-    v = np.array(data, dtype=complex)
+    v = np.asarray(data, dtype=complex)
     if v.ndim == 2 and v.shape[1] == 1:
         v = v[:, 0]
     if v.ndim != 1 or v.shape[0] != length:
         raise DimensionMismatch(f"expected a vector of length {length}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    v.flags.writeable = False
-    return v
+    return _frozen_copy(v[:, np.newaxis])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,6 @@ def canonical_bell(n: int) -> BipartiteVector:
     Its matrix form is the identity: hat(canonical_bell(n)) == eye(n),
     and its squared norm is n.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
     data = np.zeros(n * n, dtype=complex)
     data[np.arange(n) * n + np.arange(n)] = 1.0
     return BipartiteVector(BipartiteShape(n, n), data)

@@ -5,9 +5,9 @@ stdout (or ``--out``).  Numbers are rendered with 17 significant digits
 so that output files are byte-stable across runs and round-trip exactly
 through IEEE doubles.
 
-Exit codes: 0 success, 2 malformed input (an unreadable document, a bad
-flag value, or an ``--out`` file that cannot be written), 3 dimension
-mismatch, 4 unmet mathematical precondition, 5 numerical failure.
+Exit codes: 0 success, 2 malformed input (an unreadable or undecodable
+document, a bad flag value, an ``--out`` file that cannot be written), 3
+dimension mismatch, 4 unmet precondition, 5 numerical failure or overflow.
 
 Document formats
 ----------------
@@ -32,9 +32,11 @@ import numpy as np
 
 from . import algebra, bipartite as bp, channel as ch, decomp
 from .errors import (
+    ChoikitError,
     ConvergenceFailure,
     DifferentChannels,
     DimensionMismatch,
+    InvalidValue,
     NotCompletelyPositive,
     NotHermitian,
     NotTotallyEntangled,
@@ -112,14 +114,10 @@ def _matrix_or_none(mat):
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot load {path} as JSON: {exc}") from exc
 
 
 def _need(doc: dict, key: str, kind, ctx: str):
@@ -150,8 +148,8 @@ def parse_matrix(doc, ctx: str) -> np.ndarray:
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
         ):
             raise ParseError(f"{ctx}: entry {i} must be a [re, im] pair of numbers")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise ParseError(f"{ctx}: entry {i} is not finite")
+        if not (abs(pair[0]) <= sys.float_info.max and abs(pair[1]) <= sys.float_info.max):
+            raise ParseError(f"{ctx}: entry {i} is not a finite double")
         out[i] = complex(pair[0], pair[1])
     return out.reshape(rows, cols)
 
@@ -425,44 +423,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PRECONDITION_ERRORS = (
-    NotHermitian,
-    NotCompletelyPositive,
-    NotTracePreserving,
-    NotTotallyEntangled,
-    SingularMatrix,
-    DifferentChannels,
+# Exit code and label of each ChoikitError.  Inputs are checked on the way in,
+# so InvalidValue means overflow, reported here instead of as numpy warnings.
+_EXIT_CODES = (
+    (ParseError, 2, "parse error"),
+    (DimensionMismatch, 3, "dimension mismatch"),
+    ((NotHermitian, NotCompletelyPositive, NotTracePreserving, NotTotallyEntangled, SingularMatrix,
+      DifferentChannels), 4, "precondition not met"),
+    ((NumericalFailure, ConvergenceFailure, InvalidValue), 5, "numerical failure"),
 )
-_NUMERICAL_ERRORS = (NumericalFailure, ConvergenceFailure)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        doc = args.run(args)
-    except ParseError as exc:
-        print(f"choikit: parse error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionMismatch as exc:
-        print(f"choikit: dimension mismatch: {exc}", file=sys.stderr)
-        return 3
-    except _PRECONDITION_ERRORS as exc:
-        print(f"choikit: precondition not met: {exc}", file=sys.stderr)
-        return 4
-    except _NUMERICAL_ERRORS as exc:
-        print(f"choikit: numerical failure: {exc}", file=sys.stderr)
-        return 5
-    text = render_document(doc)
-    if args.out:
-        try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            text = render_document(args.run(args))
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"choikit: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+    except ChoikitError as exc:
+        code, label = next((code, label) for kinds, code, label in _EXIT_CODES if isinstance(exc, kinds))
+        print(f"choikit: {label}: {exc}", file=sys.stderr)
+        return code
+    except OSError as exc:
+        print(f"choikit: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

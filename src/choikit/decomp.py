@@ -126,8 +126,6 @@ def two_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
     The same unitary appears on both sides, and the diagonal of the
     coefficient matrix is the eigenvalue multiset of hat(v).
     """
-    if v.shape.m != v.shape.n:
-        raise DimensionMismatch("two-sided form needs equal factor dimensions")
     u, t = ml.schur(bp.hat(v))
     return TriangularForm(basis_left=u, coefficients=t, basis_right=u)
 
@@ -184,14 +182,16 @@ class KrausIsometry:
 def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Isometric u (p x q, p >= q) with u @ small == big, rows flattened ops."""
     p, q = big.shape[0], small.shape[0]
-    pp, sv, vh = np.linalg.svd(small, full_matrices=True)
+    with ml._linalg_guard():
+        pp, sv, vh = np.linalg.svd(small, full_matrices=True)
     r = ml.numeric_rank(sv, tol)
     if r == 0:
         g = np.zeros((p, 0), dtype=complex)
         g_perp = np.eye(p, dtype=complex)[:, :q]
     else:
         g = big @ vh[:r].conj().T @ np.diag(1.0 / sv[:r])
-        full, _ = np.linalg.qr(g, mode="complete")
+        with ml._linalg_guard():
+            full, _ = np.linalg.qr(g, mode="complete")
         g_perp = full[:, r:q]
     u = g @ pp[:, :r].conj().T + g_perp @ pp[:, r:].conj().T
     resid = ml.frobenius_norm(u @ small - big)
@@ -205,13 +205,12 @@ def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndar
 def find_kraus_isometry(a: KrausSet, b: KrausSet, tol: Tolerance = DEFAULT_TOL) -> KrausIsometry:
     """Recover the isometry connecting two Kraus families of one operation.
 
-    The families must have equal operator sizes and equal block matrices
-    (checked; :class:`DifferentChannels` otherwise).  The unitary freedom
+    The families must have equal operator sizes (:class:`DimensionMismatch`
+    from :func:`channel_equal` otherwise) and equal block matrices
+    (:class:`DifferentChannels` otherwise).  The unitary freedom
     of Kraus decompositions guarantees such an isometry exists; the
     larger family is expressed in terms of the smaller one.
     """
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"operator sizes differ: {a.shape} vs {b.shape}")
     if not channel_equal(channel_from_kraus(a), channel_from_kraus(b), tol):
         raise DifferentChannels("the two families describe different operations")
     stack_a = np.stack([op.reshape(-1) for op in a.ops])

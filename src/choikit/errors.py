@@ -2,7 +2,7 @@
 
 Every error raised by the public API derives from :class:`ChoikitError`,
 so callers can catch one base class.  The concrete subclasses matter to
-the command line tool, which maps them onto distinct exit codes.
+the command line tool, which maps them onto exit codes in ``cli._EXIT_CODES``.
 """
 
 
@@ -19,7 +19,7 @@ class NotHermitian(ChoikitError):
 
 
 class ConvergenceFailure(ChoikitError):
-    """An iterative factorization did not converge."""
+    """A numpy/scipy factorization failed to converge."""
 
 
 class NotCompletelyPositive(ChoikitError):
@@ -56,3 +56,8 @@ class NumericalFailure(ChoikitError):
 
 class ParseError(ChoikitError):
     """An input document is malformed or violates its schema."""
+
+
+class InvalidValue(ChoikitError, ValueError):
+    """A non-finite entry, a non-positive count or a bad tolerance (also a
+    ValueError); in the command line tool, a computed value that overflowed."""

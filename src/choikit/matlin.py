@@ -11,17 +11,27 @@ wrappers exist so the rest of the package gets one fixed normalization:
   :class:`Tolerance` rule (see :func:`numeric_rank`).
 
 All functions accept anything ``np.asarray`` turns into a complex 2-D
-array and raise :class:`DimensionMismatch` on shape violations.
+array; bad shapes, non-finite entries and failed factorizations raise
+:class:`DimensionMismatch`, :class:`InvalidValue` and :class:`ConvergenceFailure`.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotCompletelyPositive, NotHermitian
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InvalidValue,
+    NotCompletelyPositive,
+    NotHermitian,
+    NumericalFailure,
+)
 
 __all__ = [
     "Tolerance",
@@ -31,6 +41,7 @@ __all__ = [
     "frobenius_norm",
     "nearly_equal",
     "numeric_rank",
+    "matrix_rank",
     "hermitian_eig",
     "svd",
     "qr",
@@ -42,23 +53,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair.
+    """Finite, non-negative absolute/relative tolerance pair.
 
     A comparison at scale ``s`` uses the threshold ``max(abs, rel * s)``,
-    where ``s`` is the Frobenius norm of the largest operand involved.
-    Rank and positive semidefiniteness are judged on a spectrum at the
-    scale of its 2-norm, which is the Frobenius norm of the matrix for
-    singular values and for the eigenvalues of a Hermitian matrix.
+    where ``s`` is the Frobenius norm of the largest operand involved and
+    must be finite (else :class:`NumericalFailure`).  Rank and positive
+    semidefiniteness are judged at a spectrum's 2-norm: the Frobenius norm
+    of the matrix, for singular values or a Hermitian matrix's eigenvalues.
     """
 
     abs: float = 1e-12
     rel: float = 1e-9
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not all(0.0 <= t < math.inf for t in (self.abs, self.rel)):
+            raise InvalidValue("tolerances must be finite and non-negative")
 
     def threshold(self, scale: float) -> float:
+        if not math.isfinite(scale):
+            raise NumericalFailure(f"cannot compare at a non-finite scale ({scale})")
         return max(self.abs, self.rel * float(scale))
 
 
@@ -71,8 +84,17 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidValue("matrix entries must be finite")
     return m
+
+
+@contextmanager
+def _linalg_guard():
+    """Re-raise a numpy/scipy ``LinAlgError`` as :class:`ConvergenceFailure`."""
+    try:
+        yield
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def _frozen_copy(a) -> np.ndarray:
@@ -116,6 +138,12 @@ def numeric_rank(values, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(mods > tol.threshold(float(np.linalg.norm(mods)))))
 
 
+def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
+    """:func:`numeric_rank` of the singular values of ``a``."""
+    with _linalg_guard():
+        return numeric_rank(np.linalg.svd(as_matrix(a), compute_uv=False), tol)
+
+
 def _is_psd(w: np.ndarray, tol: Tolerance) -> bool:
     """Whether the eigenvalues ``w`` of a Hermitian matrix clear the
     negative tolerance band, the band of :func:`numeric_rank`."""
@@ -155,10 +183,8 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
     if frobenius_norm(a - a.conj().T) > tol.threshold(frobenius_norm(a)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
+    with _linalg_guard():
         w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(w)[::-1]
     return w[order], _fix_column_phases(v[:, order])[0]
 
@@ -173,10 +199,8 @@ def svd(a, tol: Tolerance = DEFAULT_TOL):
     compensating phase goes into ``w``).
     """
     a = as_matrix(a)
-    try:
+    with _linalg_guard():
         u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     r = numeric_rank(s, tol)
     u, factors = _fix_column_phases(u[:, :r])
     return u, s[:r], vh[:r].conj().T * factors
@@ -191,10 +215,8 @@ def qr(a):
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"qr needs rows >= cols, got {a.shape}")
-    try:
+    with _linalg_guard():
         q, r = np.linalg.qr(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     d = np.diagonal(r).copy()
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     q = q * phases[np.newaxis, :]
@@ -212,10 +234,8 @@ def schur(a):
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    try:
+    with _linalg_guard():
         t, u = scipy.linalg.schur(a, output="complex")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     return u, t
 
 
@@ -230,10 +250,8 @@ def polar(a):
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"polar needs rows >= cols, got {a.shape}")
-    try:
+    with _linalg_guard():
         u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     iso = u @ vh
     j = vh.conj().T @ (s[:, np.newaxis] * vh)
     k = u @ (s[:, np.newaxis] * u.conj().T)

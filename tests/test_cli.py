@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from choikit import bipartite as bp
 from choikit import channel as ch
-from choikit.cli import main, matrix_doc, parse_channel, parse_matrix, render_document
+from choikit import errors
+from choikit.cli import _EXIT_CODES, main, matrix_doc, parse_channel, parse_matrix, render_document
 from choikit.errors import ParseError
 
 from helpers import crandn, random_cp_channel
@@ -273,6 +276,11 @@ class TestParsingAndExitCodes:
         with pytest.raises(ParseError):
             parse_matrix({"rows": 1, "cols": 1, "data": [[float("nan"), 0]]}, "x")
 
+    @pytest.mark.parametrize("entry", [[10**400, 0], [0, -(10**400)]], ids=["re", "im"])
+    def test_integer_beyond_double_range_is_a_parse_error(self, entry):
+        with pytest.raises(ParseError):
+            parse_matrix({"rows": 1, "cols": 1, "data": [entry]}, "x")
+
     def test_boolean_entry_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_matrix({"rows": 1, "cols": 1, "data": [[True, 0]]}, "x")
@@ -308,3 +316,194 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert result.stdout == (GOLDEN / "classify_identity.json").read_text()
         assert result.stderr == ""
+
+
+def _huge(rows, cols):
+    return {"rows": rows, "cols": cols, "data": [[1e200, 0.0]] * (rows * cols)}
+
+
+# Inputs that once ended in a traceback (exit 1) or in exit 0 with every
+# decision taken at an infinite threshold.
+CRASH_INPUTS = {
+    "latin1.json": b'{"rows": 1, "cols": 1, "data": [[1, 0]], "note": "\xff\xfe"}',
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "bigint.json": b'{"m": 1, "n": 1, "representation": "choi", "payload": '
+    b'{"rows": 1, "cols": 1, "data": [[' + b"9" * 400 + b", 0]]}}",
+    "chan.json": json.dumps({"m": 2, "n": 2, "representation": "choi", "payload": _huge(4, 4)}).encode(),
+    # a rank-one CP block matrix whose trace squared overflows in is_factorizable
+    "rank_one.json": json.dumps(
+        {"m": 2, "n": 2, "representation": "choi", "payload": {"rows": 4, "cols": 4, "data": [[1e155, 0.0]] * 16}}
+    ).encode(),
+    "m2.json": json.dumps(_huge(2, 2)).encode(),
+    "m4.json": json.dumps(_huge(4, 4)).encode(),
+    "v4.json": json.dumps(_huge(4, 1)).encode(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("classify latin1.json", 2),
+        ("classify deep.json", 2),
+        ("classify bigint.json", 2),
+        ("classify chan.json --samples 16", 5),
+        ("classify rank_one.json --samples 16", 5),
+        ("compose chan.json chan.json", 5),
+        ("apply chan.json m2.json", 5),
+        ("diamond m4.json m4.json", 5),
+        ("measure m4.json --cut 2 2 --m-op m2.json", 5),
+        ("decompose v4.json --method schmidt --cut 2 2", 5),
+        ("ppt m4.json --cut 2 2", 5),
+        ("convert chan.json --to kraus", 5),
+    ],
+    ids=[
+        "non-utf8",
+        "deep-array",
+        "huge-integer",
+        "classify-overflow",
+        "factorizable-overflow",
+        "compose-overflow",
+        "apply-overflow",
+        "diamond-overflow",
+        "measure-overflow",
+        "decompose-overflow",
+        "ppt-overflow",
+        "convert-kraus-overflow",
+    ],
+)
+def test_reproduced_crash_exits_with_one_message(capsys, tmp_path, argv, code):
+    for name, content in CRASH_INPUTS.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv.split()]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("choikit: ")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
+def test_exit_table_maps_every_error_class():
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ChoikitError)]
+    for cls in classes:
+        if cls is not errors.ChoikitError:
+            assert sum(issubclass(cls, kinds) for kinds, _, _ in _EXIT_CODES) == 1, cls
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+def _mostly(valid, invalid, one_in=10):
+    """Draws from ``invalid`` about once in ``one_in`` draws, else from ``valid``.
+
+    The odd one out is an inner value: Hypothesis favours the bounds.
+    """
+    return st.integers(0, one_in).flatmap(lambda k: invalid if k == 1 else valid)
+
+
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBER = _mostly(
+    st.floats(-2.0, 2.0),
+    st.one_of(st.floats(), st.integers(-(10**400), 10**400), st.sampled_from([True, None, "1"])),
+    one_in=100,
+)
+_SIDE = st.sampled_from([1, 2, 4])
+
+
+def _matrix(rows, cols):
+    pairs = st.lists(st.lists(_NUMBER, min_size=2, max_size=2), min_size=rows * cols, max_size=rows * cols)
+    return pairs.map(lambda data: {"rows": rows, "cols": cols, "data": data})
+
+
+def _kraus(m, n):
+    return st.lists(_matrix(m, n), min_size=1, max_size=3).map(lambda ops: {"m": m, "n": n, "kraus": ops})
+
+
+@st.composite
+def _channel_docs(draw):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rep = draw(st.sampled_from(["choi", "superop", "kraus"]))
+    payload = {"choi": _matrix(m * n, m * n), "superop": _matrix(m * m, n * n), "kraus": _kraus(m, n)}[rep]
+    return {"m": m, "n": n, "representation": rep, "payload": draw(payload)}
+
+
+@st.composite
+def _matrix_docs(draw):
+    rows = draw(_SIDE)
+    return draw(_matrix(rows, draw(st.one_of(st.just(rows), _SIDE))))
+
+
+@st.composite
+def _file_bytes(draw, docs):
+    """A well-formed document, or one broken at its top level, or no JSON at all."""
+    doc = draw(docs)
+    damage = draw(st.integers(0, 12))  # inner values damage, as in _mostly
+    if damage == 3:
+        return draw(st.binary(max_size=8))
+    if damage == 5:
+        doc = draw(_JUNK)
+    elif damage == 7:
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(st.one_of(_JUNK, st.integers(-1, 3)))
+    elif damage == 9:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc).encode()
+
+
+_FILES = {"channel": _file_bytes(_channel_docs()), "matrix": _file_bytes(_matrix_docs())}
+# command -> the kinds of its file arguments, and its required flags
+_COMMANDS = {
+    "classify": (["channel"], []),
+    "convert": (["channel"], ["--to"]),
+    "compose": (["channel", "channel"], []),
+    "apply": (["channel", "matrix"], []),
+    "diamond": (["matrix", "matrix"], []),
+    "decompose": (["matrix"], ["--method", "--cut"]),
+    "ppt": (["matrix"], ["--cut"]),
+    "measure": (["matrix", "matrix"], ["--cut"]),
+}
+_CUT_SIDE = _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-2", "4", "x"]))
+_FLAG_VALUES = {
+    "--to": _mostly(st.sampled_from(["choi", "superop", "kraus"]), st.just("stinespring")),
+    "--method": _mostly(st.sampled_from(["schmidt", "qr", "schur"]), st.just("lu")),
+    "--cut": st.lists(_CUT_SIDE, min_size=2, max_size=2),
+    "--tol-abs": _mostly(
+        st.sampled_from(["0", "1e-12", "1e-3"]), st.sampled_from(["-1", "nan", "inf", "1e400", "x"])
+    ),
+    "--tol-rel": _mostly(st.sampled_from(["0", "1e-9", "0.5"]), st.sampled_from(["-1e-9", "nan", "1e300", ""])),
+    "--seed": _mostly(st.sampled_from(["0", "7"]), st.sampled_from(["-1", "1.5"])),
+    # the sample count sizes an allocation, so it stays small here
+    "--samples": _mostly(st.sampled_from(["16", "1"]), st.sampled_from(["0", "-3", "x"])),
+}
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=100,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_fuzzed_documents_and_flags_keep_the_exit_code_contract(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    kinds, flags = _COMMANDS[command]
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, kind in enumerate(kinds):
+        path = folder / f"{i}.json"
+        path.write_bytes(data.draw(_FILES[kind], label=f"file {i}"))
+        paths.append(str(path))
+    argv = [command] + (paths[:1] + ["--m-op", paths[1]] if command == "measure" else paths)
+    optional = st.lists(st.sampled_from(["--tol-abs", "--tol-rel", "--seed"]), max_size=2, unique=True)
+    for flag in flags + data.draw(optional, label="flags") + ["--samples"]:
+        value = data.draw(_FLAG_VALUES[flag], label=flag)
+        argv += [flag] + (value if isinstance(value, list) else [value])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag value
+        code = exc.code
+    assert code in {0, 2, 3, 4, 5}

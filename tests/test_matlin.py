@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choikit import matlin as ml
-from choikit.errors import DimensionMismatch, NotCompletelyPositive, NotHermitian
+from choikit.errors import (
+    DimensionMismatch,
+    InvalidValue,
+    NotCompletelyPositive,
+    NotHermitian,
+    NumericalFailure,
+)
 
 from helpers import char_poly_eigvals, crandn, multiset_distance, random_hermitian
 
@@ -27,6 +35,17 @@ class TestTolerance:
         with pytest.raises(ValueError):
             ml.Tolerance(abs=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"abs": math.inf}, {"rel": math.inf}, {"abs": math.nan}, {"rel": math.nan}])
+    def test_nonfinite_rejected(self, kwargs):
+        # abs=inf would let every comparison pass; rel=nan acted as rel=0
+        with pytest.raises(InvalidValue):
+            ml.Tolerance(**kwargs)
+
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, np.float64(np.inf)])
+    def test_threshold_at_nonfinite_scale_is_a_numerical_failure(self, scale):
+        with pytest.raises(NumericalFailure):
+            ml.DEFAULT_TOL.threshold(scale)
+
 
 class TestElementary:
     def test_frobenius_inner_of_x_with_itself(self):
@@ -42,6 +61,11 @@ class TestElementary:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             ml.as_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    def test_invalid_value_is_both_a_choikit_error_and_a_value_error(self):
+        with pytest.raises(InvalidValue) as err:
+            ml.as_matrix(np.array([[np.inf]]))
+        assert isinstance(err.value, ValueError)
 
 
 class TestHermitianEig:
@@ -254,6 +278,13 @@ class TestRank:
         # but everything below the absolute floor is zero
         assert ml.numeric_rank(np.array([1e-20, 1e-35])) == 0
         assert ml.numeric_rank(np.array([])) == 0
+
+    def test_matrix_rank_counts_singular_values(self):
+        rng = np.random.default_rng(11)
+        a = crandn(rng, 5, 2) @ crandn(rng, 2, 4)
+        assert ml.matrix_rank(a) == 2
+        assert ml.matrix_rank(a) == ml.numeric_rank(np.linalg.svd(a, compute_uv=False))
+        assert ml.matrix_rank(np.zeros((3, 3))) == 0
 
     def test_nearly_equal_uses_relative_scale(self):
         big = 1e6 * np.eye(2)
