@@ -53,6 +53,7 @@ __all__ = [
     "is_hermitian_preserving",
     "is_completely_positive",
     "check_positive_preserving",
+    "MAX_SAMPLES",
     "is_trace_preserving",
     "six_tp_conditions",
     "is_unital",
@@ -75,11 +76,14 @@ class Channel:
 
     ``shape.m`` is the output dimension, ``shape.n`` the input dimension.
     The block matrix is read-only, so the spectral analysis of it is kept
-    here, one per tolerance.
+    here, one per tolerance.  ``factor`` is None, or the read-only
+    (m*n) x r matrix A with ``s = A A†`` that :func:`channel_from_kraus`
+    sets; the spectrum is then read off A.
     """
 
     shape: bp.BipartiteShape
     choi: bp.BipartiteOperator
+    factor: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
     _spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -117,10 +121,21 @@ class KrausSet:
 
 def _spectrum(c: Channel, tol: Tolerance):
     """``hermitian_eig(s, tol)`` of the block matrix s, or None when s is
-    not Hermitian within tolerance; computed once per tolerance and kept."""
+    not Hermitian within tolerance; computed once per tolerance and kept.
+
+    With a factor A of r < m*n columns it is ``gram_eig(A)`` instead:
+    the same eigenvalues, exact zeros past the r-th, and eigenvectors for
+    the first r only.  The Kraus cut reads no further, and s = A A† is
+    Hermitian and positive semidefinite by construction, so no Hermiticity
+    residual is taken and no negative-eigenvalue witness is ever asked for.
+    """
     if tol not in c._spectra:
+        a = c.factor
         try:
-            w, v = ml.hermitian_eig(c.choi_mat, tol)
+            if a is not None and a.shape[1] < a.shape[0]:
+                w, v = ml.gram_eig(a)
+            else:
+                w, v = ml.hermitian_eig(c.choi_mat, tol)
             w.flags.writeable = v.flags.writeable = False
             c._spectra[tol] = (w, v)
         except NotHermitian:
@@ -136,12 +151,17 @@ def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
 def channel_from_kraus(k: KrausSet) -> Channel:
     """Block matrix of ``rho -> sum_x a_x rho a_x†``.
 
-    Equals ``sum_x vec(a_x) vec(a_x)†`` with row-major ``vec``; it is
-    Hermitian positive semidefinite by construction.
+    Equals ``A A†`` with ``A = [vec(a_1) ... vec(a_r)]`` and row-major
+    ``vec``; it is Hermitian positive semidefinite by construction.  A is
+    kept as the channel's ``factor``.
     """
     vecs = np.stack([op.reshape(-1) for op in k.ops])
     choi = vecs.T @ vecs.conj()
-    return channel_from_choi(choi, k.shape)
+    c = channel_from_choi(choi, k.shape)
+    # set only here, from a fresh array, so A A† is the block matrix
+    vecs.flags.writeable = False
+    object.__setattr__(c, "factor", vecs.T)
+    return c
 
 
 def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
@@ -270,6 +290,10 @@ class PositivityVerdict:
     witness_phi: Optional[np.ndarray]
 
 
+MAX_SAMPLES = 10**6
+_CHUNK = 1024
+
+
 def check_positive_preserving(
     c: Channel,
     tol: Tolerance = DEFAULT_TOL,
@@ -283,18 +307,33 @@ def check_positive_preserving(
     block, psi imaginary block, phi real block, phi imaginary block
     (each of shape ``(samples, dim)``).  Reports the minimum of
     ``<phi| F(psi psi†) |phi>`` and the first violating pair, if any.
+
+    The pairs are evaluated in chunks of 1024, so beyond the draws
+    (``samples * (n + m)`` complex numbers) memory stays at one chunk's
+    ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The values are the
+    bytes of evaluating all pairs in one batch.  ``samples`` runs from 1
+    to :data:`MAX_SAMPLES`, else :class:`InvalidValue`.
     """
-    if samples < 1:
-        raise InvalidValue("need at least one sample")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise InvalidValue(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     m, n = c.shape.m, c.shape.n
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(samples, n * n)
-    outs = (proj @ superop_from_channel(c).T).reshape(samples, m, m)
-    vals = np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+    st = superop_from_channel(c).T
+    vals = np.empty(samples)
+    edges = [*range(0, samples, _CHUNK), samples]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        # a one-row product takes numpy's vector path, which rounds
+        # differently from the batched one: keep that row in the last batch
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        p = psi[lo:hi]
+        proj = (p[:, :, None] * p.conj()[:, None, :]).reshape(hi - lo, n * n)
+        outs = (proj @ st).reshape(hi - lo, m, m)
+        vals[lo:hi] = np.einsum("sp,spq,sq->s", phi[lo:hi].conj(), outs, phi[lo:hi]).real
     thr = tol.threshold(ml.frobenius_norm(c.choi_mat))
     bad = np.flatnonzero(vals < -thr)
     first = int(bad[0]) if bad.size else None

@@ -357,6 +357,9 @@ def _flag_type(convert, ok, what: str):
 
 
 _POSITIVE_INT = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_SAMPLES = _flag_type(
+    int, lambda v: 1 <= v <= ch.MAX_SAMPLES, f"an integer from 1 to {ch.MAX_SAMPLES}"
+)
 _SEED = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 _TOLERANCE = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 
@@ -367,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9, help="relative tolerance")
     common.add_argument("--seed", type=_SEED, default=0, help="seed for randomized checks")
     common.add_argument(
-        "--samples", type=_POSITIVE_INT, default=10000, help="sample count for randomized checks"
+        "--samples", type=_SAMPLES, default=10000, help="sample count for randomized checks"
     )
     common.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
 

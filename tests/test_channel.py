@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choikit import algebra as alg
 from choikit import bipartite as bp
@@ -7,6 +11,7 @@ from choikit import channel as ch
 from choikit import matlin as ml
 from choikit.errors import (
     DimensionMismatch,
+    InvalidValue,
     NotCompletelyPositive,
     NotHermitian,
     NotTracePreserving,
@@ -17,6 +22,7 @@ from helpers import (
     kraus_apply,
     random_channel,
     random_cp_channel,
+    random_hermitian,
     random_isometry,
     random_kraus,
     random_tp_channel,
@@ -240,6 +246,67 @@ class TestPredicates:
         a = ch.check_positive_preserving(transpose_channel(), samples=500, seed=7)
         b = ch.check_positive_preserving(transpose_channel(), samples=500, seed=7)
         assert a.min_value == b.min_value
+
+    def test_sample_count_is_bounded(self):
+        for samples in (0, ch.MAX_SAMPLES + 1, 10**20):
+            with pytest.raises(InvalidValue, match="samples"):
+                ch.check_positive_preserving(transpose_channel(), samples=samples)
+
+
+def _one_batch_values(c, samples, seed):
+    """The positivity search's values with every pair in one batch, as the
+    golden files were made: the byte reference for the chunked search."""
+    m, n = c.shape.m, c.shape.n
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(samples, n * n)
+    outs = (proj @ ch.superop_from_channel(c).T).reshape(samples, m, m)
+    vals = np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+    return vals, psi, phi
+
+
+class TestChunkedPositivitySearch:
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (16, 16), (2, 3)])
+    @pytest.mark.parametrize("samples", [1, 2, 1023, 1024, 1025, 1026, 2049])
+    def test_bytes_equal_one_batch(self, m, n, samples):
+        rng = np.random.default_rng(m * n)
+        c = ch.channel_from_choi(random_hermitian(rng, m * n), bp.BipartiteShape(m, n))
+        vals, psi, phi = _one_batch_values(c, samples, seed=5)
+        low = np.sort(vals)[:2]
+        # a threshold that only the smallest value violates puts the
+        # witness anywhere in the draws, not just in the first chunk
+        only_min = ml.Tolerance(abs=max((-low[0] + max(-low[-1], 0.0)) / 2, 0.0), rel=0.0)
+        for tol in (ml.DEFAULT_TOL, only_min):
+            v = ch.check_positive_preserving(c, tol, samples=samples, seed=5)
+            bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
+            assert v.outcome == ("NotPositive" if bad.size else "NoViolationFound")
+            assert np.float64(v.min_value).tobytes() == vals.min().tobytes()
+            if bad.size:
+                assert v.witness_psi.tobytes() == psi[bad[0]].tobytes()
+                assert v.witness_phi.tobytes() == phi[bad[0]].tobytes()
+            else:
+                assert v.witness_psi is None and v.witness_phi is None
+
+    def test_memory_grows_only_with_the_draws(self):
+        d = 16
+        shape = bp.BipartiteShape(d, d)
+        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), d * d), shape)
+        ch.check_positive_preserving(c, samples=2)  # first-call set-up is not measured
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                ch.check_positive_preserving(c, samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra_draws = (8192 - 2048) * (d + d) * np.dtype(complex).itemsize
+        # one-batch evaluation grows by about 17 times the extra draws
+        assert peak(8192) - peak(2048) <= 2 * extra_draws
 
 
 class TestTracePreservation:
@@ -552,7 +619,7 @@ class TestToleranceBoundary:
 class TestSharedSpectrum:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"hermitian_eig": 0, "svd": 0}
+        counts = {"hermitian_eig": 0, "gram_eig": 0, "svd": 0}
         for name in counts:
             original = getattr(ml, name)
 
@@ -563,18 +630,71 @@ class TestSharedSpectrum:
             monkeypatch.setattr(ml, name, counted)
         return counts
 
-    def test_verdict_factorises_the_choi_matrix_once(self, counts):
-        c = random_tp_channel(np.random.default_rng(4), 3, 3, 2)
-        tol = ml.Tolerance()
+    @staticmethod
+    def _suite(c, tol, counts, expected):
         v = ch.channel_verdict(c, tol)
         assert v.completely_positive and v.trace_preserving
-        assert counts == {"hermitian_eig": 1, "svd": 0}
+        assert counts == expected
         ch.kraus_from_channel(c, tol)
         ch.six_tp_conditions(c, tol)
         ch.is_isometric_channel(c, tol)
-        assert counts == {"hermitian_eig": 1, "svd": 0}
+        assert counts == expected
+
+    def test_verdict_factorises_the_choi_matrix_once(self, counts):
+        k = random_tp_channel(np.random.default_rng(4), 3, 3, 2)
+        c = ch.channel_from_choi(k.choi_mat, k.shape)
+        tol = ml.Tolerance()
+        self._suite(c, tol, counts, {"hermitian_eig": 1, "gram_eig": 0, "svd": 0})
         ch.higher_rank(c, ml.Tolerance(rel=1e-6))
-        assert counts == {"hermitian_eig": 2, "svd": 0}
+        assert counts == {"hermitian_eig": 2, "gram_eig": 0, "svd": 0}
+
+    def test_kraus_form_reads_the_spectrum_off_its_factor(self, counts):
+        c = random_tp_channel(np.random.default_rng(4), 3, 3, 2)
+        tol = ml.Tolerance()
+        self._suite(c, tol, counts, {"hermitian_eig": 0, "gram_eig": 1, "svd": 0})
+        ch.higher_rank(c, ml.Tolerance(rel=1e-6))
+        assert counts == {"hermitian_eig": 0, "gram_eig": 2, "svd": 0}
+
+    def test_family_of_mn_members_takes_eigh(self, counts):
+        c = random_tp_channel(np.random.default_rng(4), 2, 2, 4)
+        self._suite(c, ml.Tolerance(), counts, {"hermitian_eig": 1, "gram_eig": 0, "svd": 0})
+
+    def test_only_kraus_input_carries_a_factor(self):
+        c = random_tp_channel(np.random.default_rng(4), 3, 3, 2)
+        assert c.factor.shape == (9, 2) and not c.factor.flags.writeable
+        assert ch.compose(c, c).factor is None
+        assert ch.channel_from_superop(ch.superop_from_channel(c), c.shape).factor is None
+        assert ch.adjoint_channel(c).factor is None
+        with pytest.raises(TypeError):
+            ch.Channel(c.shape, c.choi, factor=np.ones((9, 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(
+    m=st.integers(8, 16),
+    n=st.integers(8, 16),
+    r=st.integers(1, 4),
+    band=st.sampled_from([None, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_and_eigh_routes_give_one_verdict(m, n, r, band, seed):
+    rng = np.random.default_rng(seed)
+    shape = bp.BipartiteShape(m, n)
+    ops = random_tp_kraus(rng, m, n, r).ops
+    if band is not None:
+        # one more member, its weight a factor `band` off the rank threshold
+        # (just under it for 0.5, so inside the band; just over it for 2.0)
+        norm_s = np.linalg.norm(ch.channel_from_kraus(ch.KrausSet(shape, ops)).choi_mat)
+        extra = crandn(rng, m, n)
+        ops += (np.sqrt(band * ml.DEFAULT_TOL.threshold(norm_s)) * extra / np.linalg.norm(extra),)
+        w, u = np.linalg.eigh(sum(op.conj().T @ op for op in ops))
+        ops = tuple(op @ (u / np.sqrt(w)) @ u.conj().T for op in ops)  # trace preserving again
+    by_factor = ch.channel_from_kraus(ch.KrausSet(shape, ops))
+    by_eigh = ch.channel_from_choi(by_factor.choi_mat, shape)
+    verdict = ch.channel_verdict(by_factor)
+    assert verdict == ch.channel_verdict(by_eigh)
+    assert verdict.trace_preserving and verdict.extremal_tp is not None
+    assert verdict.higher_rank == r + (band == 2.0)
 
 
 class TestVerdict:

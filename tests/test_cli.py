@@ -289,12 +289,14 @@ class TestParsingAndExitCodes:
         "argv",
         [
             ["classify", str(DATA / "identity.json"), "--samples", "0"],
+            ["classify", str(DATA / "identity.json"), "--samples", "1000001"],
+            ["classify", str(DATA / "identity.json"), "--samples", "100000000000000000000"],
             ["classify", str(DATA / "identity.json"), "--tol-abs", "-1"],
             ["decompose", str(ROOT / "data" / "states" / "bell_vector.json"),
              "--method", "schmidt", "--cut", "-2", "-2"],
             ["classify", str(DATA / "identity.json"), "--out", "{tmp}/missing/dir/x.json"],
         ],
-        ids=["samples-0", "negative-tol-abs", "negative-cut", "unwritable-out"],
+        ids=["samples-0", "samples-above-max", "samples-1e20", "negative-tol-abs", "negative-cut", "unwritable-out"],
     )
     def test_bad_flag_or_output_path_exits_2(self, capsys, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -475,8 +477,11 @@ _FLAG_VALUES = {
     ),
     "--tol-rel": _mostly(st.sampled_from(["0", "1e-9", "0.5"]), st.sampled_from(["-1e-9", "nan", "1e300", ""])),
     "--seed": _mostly(st.sampled_from(["0", "7"]), st.sampled_from(["-1", "1.5"])),
-    # the sample count sizes an allocation, so it stays small here
-    "--samples": _mostly(st.sampled_from(["16", "1"]), st.sampled_from(["0", "-3", "x"])),
+    # the sample count sizes an allocation, so the valid ones stay small here
+    "--samples": _mostly(
+        st.sampled_from(["16", "1"]),
+        st.sampled_from(["0", "-3", "x", "1000001", "100000000000000000000"]),
+    ),
 }
 
 

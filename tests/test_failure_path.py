@@ -51,6 +51,7 @@ def _isometry_between_identity_families():
     [
         (np.linalg, "eigh", lambda: ml.hermitian_eig(np.eye(2))),
         (np.linalg, "svd", lambda: ml.svd(np.eye(2))),
+        (np.linalg, "svd", lambda: ml.gram_eig(np.eye(2))),
         (np.linalg, "svd", lambda: ml.polar(np.eye(2))),
         (np.linalg, "svd", lambda: ml.matrix_rank(np.eye(2))),
         (np.linalg, "qr", lambda: ml.qr(np.eye(2))),
@@ -63,6 +64,7 @@ def _isometry_between_identity_families():
     ids=[
         "hermitian_eig",
         "svd",
+        "gram_eig",
         "polar",
         "matrix_rank",
         "qr",
