@@ -73,6 +73,21 @@ def _as_vector(data, length: int) -> np.ndarray:
     return _frozen_copy(v[:, np.newaxis])[:, 0]
 
 
+def _array_eq(name: str):
+    """``__eq__`` of a wrapper of one array: the same type, an equal shape
+    and equal entries.  The generated one would compare the arrays as
+    tuple members, which raises for more than one entry."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shape == other.shape and bool(
+            np.array_equal(getattr(self, name), getattr(other, name))
+        )
+
+    return __eq__
+
+
 @dataclass(frozen=True)
 class BipartiteVector:
     """Vector in C^m (x) C^n, stored flat (a read-only copy) as above."""
@@ -82,6 +97,8 @@ class BipartiteVector:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_vector(self.data, self.shape.dim))
+
+    __eq__ = _array_eq("data")
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,8 @@ class BipartiteOperator:
         if m.shape != (d, d):
             raise DimensionMismatch(f"expected a {d} x {d} matrix, got {m.shape}")
         object.__setattr__(self, "mat", m)
+
+    __eq__ = _array_eq("mat")
 
 
 def kron(a, b) -> np.ndarray:

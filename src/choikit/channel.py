@@ -294,6 +294,29 @@ MAX_SAMPLES = 10**6
 _CHUNK = 1024
 
 
+def _exact_values(st: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``<phi| F(psi psi†) |phi>`` for one batch of draws, given the
+    transposed superoperator ``st``: the projector batch, its product with
+    ``st`` and a three-operand sum."""
+    k, n = psi.shape
+    m = phi.shape[1]
+    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(k, n * n)
+    outs = (proj @ st).reshape(k, m, m)
+    return np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+
+
+def _screen_values(ops: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``sum_x |phi† a_x psi|^2`` for one batch of draws, from the Kraus
+    operators ``ops`` (r x m x n): the same values as :func:`_exact_values`
+    for ``rho -> sum_x a_x rho a_x†``, at r*m*n cost per pair."""
+    f = np.zeros(psi.shape[0])
+    bra = phi.conj()
+    for op in ops:
+        y = np.einsum("si,si->s", bra, psi @ op.T)
+        f += y.real**2 + y.imag**2
+    return f
+
+
 def check_positive_preserving(
     c: Channel,
     tol: Tolerance = DEFAULT_TOL,
@@ -306,13 +329,46 @@ def check_positive_preserving(
     ``numpy.random.default_rng(seed)`` in the fixed order: psi real
     block, psi imaginary block, phi real block, phi imaginary block
     (each of shape ``(samples, dim)``).  Reports the minimum of
-    ``<phi| F(psi psi†) |phi>`` and the first violating pair, if any.
+    ``<phi| F(psi psi†) |phi>`` and the first violating pair, if any:
+    the first value below ``-thr``, ``thr = tol.threshold(|s|_F)``.
 
     The pairs are evaluated in chunks of 1024, so beyond the draws
     (``samples * (n + m)`` complex numbers) memory stays at one chunk's
     ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The values are the
     bytes of evaluating all pairs in one batch.  ``samples`` runs from 1
     to :data:`MAX_SAMPLES`, else :class:`InvalidValue`.
+
+    A channel built from r < m*n Kraus operators (``c.factor`` is A) is
+    screened first, and only the chunks holding a pair that the screen
+    cannot rule out go through the superoperator.  The screen value
+    ``f = sum_x |phi† a_x psi|^2`` costs r*m*n per pair against (m*n)^2,
+    and f >= 0 as computed.  Its distance from the computed value v
+    follows from the standard forward-error bounds: a complex inner
+    product of length k is within ``sqrt(2)*gamma_(k+2) |x|.|y|``, with
+    ``gamma_k = k*u / (1 - k*u)``, u = eps/2 and eps the machine epsilon.
+    With ``|psi| = |phi| = 1``, ``|psi psi†|_F = 1``, ``|S|_F = |s|_F``
+    (S the superoperator) and ``sum_x |a_x|_F^2 = tr s``:
+
+    * v is within ``sqrt(2)*(gamma_2 + gamma_(n^2+2) + gamma_(m^2+4)) |s|_F
+      <= (m^2 + n^2 + 8)*eps*|s|_F`` of the true value for s, through the
+      projector, the product with S and the three-operand sum;
+    * f is within ``(2*sqrt(2)*(gamma_(m+2) + gamma_(n+2)) + gamma_(r+2)) tr s
+      <= (2*(m + n) + r + 8)*eps*tr s`` of the true value for A, through
+      a_x psi, phi† (a_x psi) and the sum of squares;
+    * the stored s is the rounded A A†, within
+      ``sqrt(2)*gamma_(r+2) tr s <= (r + 2)*eps*tr s`` of it in Frobenius
+      norm, so the two true values differ by no more.
+
+    As r < mn, these add to at most 2N with ``N = m^2 + n^2 + r*(m + n) + 8``,
+    a quarter of ``delta = 8*N*eps*max(|s|_F, tr s)``; the rest covers
+    second-order terms, unit norms that hold only to rounding and the
+    rounding of the comparison below.  So ``|f - v| <= delta`` for every
+    pair, and a chunk is evaluated exactly when it holds a pair with
+    ``f <= min f + 2*delta``.  Any other pair has v > min f + delta, which
+    is at least v of the pair minimising f, so the minimum of v lies among
+    these pairs.  So does every violation: v < -thr <= 0 gives
+    f < delta <= min f + 2*delta, as f >= 0.  A chunk is evaluated as it
+    is without the screen, so every number reported keeps its bytes.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise InvalidValue(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
@@ -323,18 +379,27 @@ def check_positive_preserving(
     phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     st = superop_from_channel(c).T
-    vals = np.empty(samples)
+    norm_s = ml.frobenius_norm(c.choi_mat)
+    thr = tol.threshold(norm_s)
     edges = [*range(0, samples, _CHUNK), samples]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         # a one-row product takes numpy's vector path, which rounds
         # differently from the batched one: keep that row in the last batch
         del edges[-2]
-    for lo, hi in zip(edges, edges[1:]):
-        p = psi[lo:hi]
-        proj = (p[:, :, None] * p.conj()[:, None, :]).reshape(hi - lo, n * n)
-        outs = (proj @ st).reshape(hi - lo, m, m)
-        vals[lo:hi] = np.einsum("sp,spq,sq->s", phi[lo:hi].conj(), outs, phi[lo:hi]).real
-    thr = tol.threshold(ml.frobenius_norm(c.choi_mat))
+    chunks = list(zip(edges, edges[1:]))
+    a = c.factor
+    if a is not None and a.shape[1] < a.shape[0]:
+        # whole chunks, not single pairs: with threaded BLAS a product's
+        # bytes can depend on its row count
+        ops = a.T.reshape(-1, m, n)
+        f = np.concatenate([_screen_values(ops, psi[lo:hi], phi[lo:hi]) for lo, hi in chunks])
+        big_n = m * m + n * n + a.shape[1] * (m + n) + 8
+        delta = 8 * big_n * np.finfo(float).eps * max(norm_s, float(np.linalg.norm(a)) ** 2)
+        keep = f <= f.min() + 2 * delta
+        chunks = [(lo, hi) for lo, hi in chunks if keep[lo:hi].any()]
+    vals = np.full(samples, np.inf)
+    for lo, hi in chunks:
+        vals[lo:hi] = _exact_values(st, psi[lo:hi], phi[lo:hi])
     bad = np.flatnonzero(vals < -thr)
     first = int(bad[0]) if bad.size else None
     return PositivityVerdict(

@@ -50,6 +50,14 @@ class TestShapesAndContainers:
         with pytest.raises(ValueError):
             v.data[0] = 2.0
 
+    @pytest.mark.parametrize("make", [random_vec, random_op])
+    def test_equality_compares_shape_and_entries(self, make):
+        a = make(np.random.default_rng(3), 2, 3)
+        assert a == make(np.random.default_rng(3), 2, 3)
+        assert a != make(np.random.default_rng(4), 2, 3)
+        assert a != make(np.random.default_rng(3), 3, 2)  # same entries, other cut
+        assert a != a.shape and a != None  # noqa: E711
+
 
 class TestHatUnhat:
     def test_hat_rowmajor_layout(self):

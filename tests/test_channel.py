@@ -268,45 +268,119 @@ def _one_batch_values(c, samples, seed):
     return vals, psi, phi
 
 
+def _assert_search_equals_one_batch(c, tols, samples, seed):
+    """Outcome, minimum and witnesses of the search, byte for byte those
+    of :func:`_one_batch_values`, at each tolerance in ``tols``."""
+    vals, psi, phi = _one_batch_values(c, samples, seed)
+    for tol in tols:
+        v = ch.check_positive_preserving(c, tol, samples=samples, seed=seed)
+        bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
+        assert v.outcome == ("NotPositive" if bad.size else "NoViolationFound")
+        assert np.float64(v.min_value).tobytes() == vals.min().tobytes()
+        if bad.size:
+            assert v.witness_psi.tobytes() == psi[bad[0]].tobytes()
+            assert v.witness_phi.tobytes() == phi[bad[0]].tobytes()
+        else:
+            assert v.witness_psi is None and v.witness_phi is None
+
+
+def _search_peak(c, samples):
+    """Peak traced allocation of one positivity search."""
+    tracemalloc.start()
+    try:
+        ch.check_positive_preserving(c, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkedPositivitySearch:
+    D16 = bp.BipartiteShape(16, 16)
+
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (16, 16), (2, 3)])
     @pytest.mark.parametrize("samples", [1, 2, 1023, 1024, 1025, 1026, 2049])
     def test_bytes_equal_one_batch(self, m, n, samples):
         rng = np.random.default_rng(m * n)
         c = ch.channel_from_choi(random_hermitian(rng, m * n), bp.BipartiteShape(m, n))
-        vals, psi, phi = _one_batch_values(c, samples, seed=5)
-        low = np.sort(vals)[:2]
+        low = np.sort(_one_batch_values(c, samples, seed=5)[0])[:2]
         # a threshold that only the smallest value violates puts the
         # witness anywhere in the draws, not just in the first chunk
         only_min = ml.Tolerance(abs=max((-low[0] + max(-low[-1], 0.0)) / 2, 0.0), rel=0.0)
-        for tol in (ml.DEFAULT_TOL, only_min):
-            v = ch.check_positive_preserving(c, tol, samples=samples, seed=5)
-            bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
-            assert v.outcome == ("NotPositive" if bad.size else "NoViolationFound")
-            assert np.float64(v.min_value).tobytes() == vals.min().tobytes()
-            if bad.size:
-                assert v.witness_psi.tobytes() == psi[bad[0]].tobytes()
-                assert v.witness_phi.tobytes() == phi[bad[0]].tobytes()
-            else:
-                assert v.witness_psi is None and v.witness_phi is None
+        _assert_search_equals_one_batch(c, (ml.DEFAULT_TOL, only_min), samples, seed=5)
 
     def test_memory_grows_only_with_the_draws(self):
-        d = 16
-        shape = bp.BipartiteShape(d, d)
-        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), d * d), shape)
+        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), 256), self.D16)
         ch.check_positive_preserving(c, samples=2)  # first-call set-up is not measured
-
-        def peak(samples):
-            tracemalloc.start()
-            try:
-                ch.check_positive_preserving(c, samples=samples)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        extra_draws = (8192 - 2048) * (d + d) * np.dtype(complex).itemsize
+        extra_draws = (8192 - 2048) * (16 + 16) * np.dtype(complex).itemsize
         # one-batch evaluation grows by about 17 times the extra draws
-        assert peak(8192) - peak(2048) <= 2 * extra_draws
+        assert _search_peak(c, 8192) - _search_peak(c, 2048) <= 2 * extra_draws
+
+    def test_screen_keeps_the_memory_bound(self):
+        kraus = random_tp_channel(np.random.default_rng(2), 16, 16, 4)
+        choi = ch.channel_from_choi(kraus.choi_mat, self.D16)
+        ch.check_positive_preserving(kraus, samples=2)
+        extra_draws = (8192 - 2048) * (16 + 16) * np.dtype(complex).itemsize
+        assert _search_peak(kraus, 8192) - _search_peak(kraus, 2048) <= 2 * extra_draws
+        # beyond the unscreened search's peak, only a few floats per pair
+        assert _search_peak(kraus, 8192) <= _search_peak(choi, 8192) + 3 * 8192 * 8
+
+
+class TestScreenedPositivitySearch:
+    """Kraus-form channels of r < mn members are screened through their
+    factor; the reported numbers stay those of the unscreened search."""
+
+    TOLS = (ml.DEFAULT_TOL, ml.Tolerance(abs=0.0, rel=0.0))  # the second flags any value < 0
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        rows = []
+        exact = ch._exact_values
+
+        def counted(st, psi, phi):
+            rows.append(psi.shape[0])
+            return exact(st, psi, phi)
+
+        monkeypatch.setattr(ch, "_exact_values", counted)
+        return rows
+
+    def test_exact_rows_only_near_the_minimum(self, rows):
+        kraus = random_cp_channel(np.random.default_rng(9), 16, 16, 2)
+        ch.check_positive_preserving(kraus, samples=10000)
+        # one pair near the minimum, so one chunk of 1024 goes through the
+        # superoperator, against all of them for the same matrix in Choi form
+        assert rows == [1024]
+        rows.clear()
+        ch.check_positive_preserving(ch.channel_from_choi(kraus.choi_mat, kraus.shape), samples=10000)
+        assert sum(rows) == 10000
+
+    def test_one_candidate_keeps_its_bytes(self, rows):
+        # one pair near the minimum, in the folded last chunk of 1025 rows
+        kraus = random_cp_channel(np.random.default_rng(1), 16, 16, 2)
+        _assert_search_equals_one_batch(kraus, self.TOLS, samples=2049, seed=3)
+        assert rows == [1025, 1025]
+
+    def test_full_rank_family_is_not_screened(self, rows):
+        paulis = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+        c = ch.channel_from_kraus(ch.KrausSet(S2, tuple(np.array(p) / 2 for p in paulis)))
+        _assert_search_equals_one_batch(c, self.TOLS, samples=3000, seed=1)
+        assert sum(rows) == 2 * 3000
+
+
+@settings(derandomize=True, deadline=None, max_examples=24, database=None)
+@given(
+    m=st.integers(2, 16),
+    n=st.integers(2, 16),
+    r=st.integers(1, 4),
+    tp=st.booleans(),
+    samples=st.sampled_from([1, 2, 1025, 2049, 10000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_search_equals_one_batch(m, n, r, tp, samples, seed):
+    rng = np.random.default_rng(seed)
+    r = min(r, m * n - 1)
+    kraus = random_tp_kraus(rng, m, n, r) if tp and r * m >= n else random_kraus(rng, m, n, r)
+    c = ch.channel_from_kraus(kraus)
+    _assert_search_equals_one_batch(c, TestScreenedPositivitySearch.TOLS, samples, seed % 1000)
 
 
 class TestTracePreservation:
@@ -698,6 +772,15 @@ def test_factor_and_eigh_routes_give_one_verdict(m, n, r, band, seed):
 
 
 class TestVerdict:
+    def test_channels_and_verdicts_compare_by_value(self):
+        mixed = ch.channel_from_choi(np.eye(4) / 2, S2)
+        assert mixed == ch.channel_from_choi(np.eye(4) / 2, S2)
+        assert mixed != transpose_channel()
+        v = ch.channel_verdict(transpose_channel())
+        assert v.cp_witness is not None
+        assert v == ch.channel_verdict(transpose_channel())
+        assert v != ch.channel_verdict(ch.channel_from_choi(-SWAP, S2))
+
     def test_transpose_summary(self):
         v = ch.channel_verdict(transpose_channel())
         assert v.hermitian_preserving
