@@ -108,11 +108,10 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
         raise NotTotallyEntangled("state is not a rank-one projector")
     a = np.sqrt(w[0]) * vecs[:, 0].reshape(s.n, s.n)
-    if ml.matrix_rank(a, tol) < s.n:
+    u, sv, wv = ml.svd(a, tol)
+    if sv.size < s.n:
         raise NotTotallyEntangled("matrix form of the state is singular")
-    with ml._linalg_guard():
-        inv = np.linalg.inv(a)
-    v = inv.reshape(s.n * s.n)
+    v = ((wv / sv) @ u.conj().T).reshape(s.n * s.n)
     return StateSquare(s.n, bp.BipartiteOperator(s.op.shape, np.outer(v, v.conj())))
 
 

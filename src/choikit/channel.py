@@ -77,8 +77,8 @@ class Channel:
     ``shape.m`` is the output dimension, ``shape.n`` the input dimension.
     The block matrix is read-only, so the spectral analysis of it is kept
     here, one per tolerance.  ``factor`` is None, or the read-only
-    (m*n) x r matrix A with ``s = A A†`` that :func:`channel_from_kraus`
-    sets; the spectrum is then read off A.
+    (m*n) x r matrix A with ``s = A A†`` and r < m*n that
+    :func:`channel_from_kraus` sets; the spectrum is then read off A.
     """
 
     shape: bp.BipartiteShape
@@ -123,17 +123,20 @@ def _spectrum(c: Channel, tol: Tolerance):
     """``hermitian_eig(s, tol)`` of the block matrix s, or None when s is
     not Hermitian within tolerance; computed once per tolerance and kept.
 
-    With a factor A of r < m*n columns it is ``gram_eig(A)`` instead:
-    the same eigenvalues, exact zeros past the r-th, and eigenvectors for
-    the first r only.  The Kraus cut reads no further, and s = A A† is
-    Hermitian and positive semidefinite by construction, so no Hermiticity
-    residual is taken and no negative-eigenvalue witness is ever asked for.
+    With a factor A it is read off the SVD of A instead: the squared
+    singular values, padded with zeros to m*n, and the left singular
+    vectors of the nonzero ones.  The SVD cuts at zero tolerance, so the
+    Kraus cut on the eigenvalues is the only one.  s = A A† is Hermitian
+    and positive semidefinite by construction, so no Hermiticity residual
+    is taken and no negative-eigenvalue witness is ever asked for.
     """
     if tol not in c._spectra:
         a = c.factor
         try:
-            if a is not None and a.shape[1] < a.shape[0]:
-                w, v = ml.gram_eig(a)
+            if a is not None:
+                v, sv, _ = ml.svd(a, Tolerance(abs=0.0, rel=0.0))
+                w = np.zeros(a.shape[0])
+                w[: sv.size] = sv**2
             else:
                 w, v = ml.hermitian_eig(c.choi_mat, tol)
             w.flags.writeable = v.flags.writeable = False
@@ -153,14 +156,15 @@ def channel_from_kraus(k: KrausSet) -> Channel:
 
     Equals ``A A†`` with ``A = [vec(a_1) ... vec(a_r)]`` and row-major
     ``vec``; it is Hermitian positive semidefinite by construction.  A is
-    kept as the channel's ``factor``.
+    kept as the channel's ``factor`` when it has fewer columns than rows.
     """
     vecs = np.stack([op.reshape(-1) for op in k.ops])
     choi = vecs.T @ vecs.conj()
     c = channel_from_choi(choi, k.shape)
-    # set only here, from a fresh array, so A A† is the block matrix
-    vecs.flags.writeable = False
-    object.__setattr__(c, "factor", vecs.T)
+    if len(k) < k.shape.m * k.shape.n:
+        # set only here, from a fresh array, so A A† is the block matrix
+        vecs.flags.writeable = False
+        object.__setattr__(c, "factor", vecs.T)
     return c
 
 
@@ -332,13 +336,14 @@ def check_positive_preserving(
     ``<phi| F(psi psi†) |phi>`` and the first violating pair, if any:
     the first value below ``-thr``, ``thr = tol.threshold(|s|_F)``.
 
-    The pairs are evaluated in chunks of 1024, so beyond the draws
-    (``samples * (n + m)`` complex numbers) memory stays at one chunk's
-    ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The values are the
-    bytes of evaluating all pairs in one batch.  ``samples`` runs from 1
-    to :data:`MAX_SAMPLES`, else :class:`InvalidValue`.
+    The pairs are evaluated in near-equal chunks of at most 1024, so
+    beyond the draws (``samples * (n + m)`` complex numbers) memory stays
+    at one chunk's ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The
+    values are the bytes of evaluating all pairs in one batch.
+    ``samples`` runs from 1 to :data:`MAX_SAMPLES`, else
+    :class:`InvalidValue`.
 
-    A channel built from r < m*n Kraus operators (``c.factor`` is A) is
+    A channel with a factor A of r < m*n columns (:class:`Channel`) is
     screened first, and only the chunks holding a pair that the screen
     cannot rule out go through the superoperator.  The screen value
     ``f = sum_x |phi† a_x psi|^2`` costs r*m*n per pair against (m*n)^2,
@@ -381,14 +386,13 @@ def check_positive_preserving(
     st = superop_from_channel(c).T
     norm_s = ml.frobenius_norm(c.choi_mat)
     thr = tol.threshold(norm_s)
-    edges = [*range(0, samples, _CHUNK), samples]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        # a one-row product takes numpy's vector path, which rounds
-        # differently from the batched one: keep that row in the last batch
-        del edges[-2]
+    # with threaded BLAS a short product can round differently from a
+    # long one, so no chunk is much shorter than the others
+    k = -(-samples // _CHUNK)
+    edges = [samples * i // k for i in range(k + 1)]
     chunks = list(zip(edges, edges[1:]))
     a = c.factor
-    if a is not None and a.shape[1] < a.shape[0]:
+    if a is not None:
         # whole chunks, not single pairs: with threaded BLAS a product's
         # bytes can depend on its row count
         ops = a.T.reshape(-1, m, n)
@@ -432,14 +436,8 @@ class TPConditions:
     first_trace: bool  # partial trace over the first factor = id_n
     choi_delta_pattern: bool  # sum_k s[(k,j),(k,l)] = delta_jl
 
-    def as_tuple(self):
-        return astuple(self)
-
-    def decided(self):
-        return tuple(x for x in self.as_tuple() if x is not None)
-
     def unanimous(self) -> bool:
-        decided = self.decided()
+        decided = [x for x in astuple(self) if x is not None]
         return all(decided) or not any(decided)
 
 
@@ -552,8 +550,7 @@ def extremal_span_dimension(k: KrausSet, tol: Tolerance = DEFAULT_TOL) -> int:
     prods = np.stack(
         [(x.conj().T @ y).reshape(-1) for x in k.ops for y in k.ops]
     )
-    _, sv, _ = ml.svd(prods, tol)
-    return int(sv.size)
+    return ml.matrix_rank(prods, tol)
 
 
 def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:

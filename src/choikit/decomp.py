@@ -180,20 +180,14 @@ class KrausIsometry:
 
 
 def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Isometric u (p x q, p >= q) with u @ small == big, rows flattened ops."""
-    p, q = big.shape[0], small.shape[0]
-    with ml._linalg_guard():
-        pp, sv, vh = np.linalg.svd(small, full_matrices=True)
-    r = ml.numeric_rank(sv, tol)
-    if r == 0:
-        g = np.zeros((p, 0), dtype=complex)
-        g_perp = np.eye(p, dtype=complex)[:, :q]
-    else:
-        g = big @ vh[:r].conj().T @ np.diag(1.0 / sv[:r])
-        with ml._linalg_guard():
-            full, _ = np.linalg.qr(g, mode="complete")
-        g_perp = full[:, r:q]
-    u = g @ pp[:, :r].conj().T + g_perp @ pp[:, r:].conj().T
+    """Isometric u (p x q, p >= q) with u @ small == big, rows flattened ops.
+
+    From big = u small, big small† = u G with G = small small† positive
+    semidefinite, so the polar factor of big small† agrees with u on
+    range(G), which contains range(small).
+    """
+    q = small.shape[0]
+    u = ml.polar(big @ small.conj().T)[0]
     resid = ml.frobenius_norm(u @ small - big)
     if resid > tol.threshold(ml.frobenius_norm(big)) * 1e3:
         raise NumericalFailure("mixing matrix does not reproduce the larger family")

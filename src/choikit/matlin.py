@@ -43,7 +43,6 @@ __all__ = [
     "numeric_rank",
     "matrix_rank",
     "hermitian_eig",
-    "gram_eig",
     "svd",
     "qr",
     "schur",
@@ -188,24 +187,6 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
         w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], _fix_column_phases(v[:, order])[0]
-
-
-def gram_eig(a):
-    """Eigensystem of ``a @ a†`` from the thin SVD of ``a``.
-
-    Returns ``(w, v)`` in the conventions of :func:`hermitian_eig`: ``w``
-    holds the squared singular values in decreasing order, padded with
-    zeros to ``a.shape[0]``, and ``v`` the phase-fixed left singular
-    vectors, one column per singular value, so that
-    ``a @ a† ~= v @ diag(w[:k]) @ v†`` with k the number of columns of v.
-    The product ``a @ a†`` is never formed.
-    """
-    a = as_matrix(a)
-    with _linalg_guard():
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-    w = np.zeros(a.shape[0])
-    w[: s.size] = s * s
-    return w, _fix_column_phases(u)[0]
 
 
 def svd(a, tol: Tolerance = DEFAULT_TOL):

@@ -9,6 +9,7 @@ induced algebra, and the command line golden files.
 import functools
 import json
 import pathlib
+from dataclasses import astuple
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def test_criterion_04_six_tp_conditions():
         c = ch.channel_from_kraus(random_tp_kraus(rng, m, n, count))
         conds = ch.six_tp_conditions(c)
         assert conds.unanimous()
-        assert all(x is True for x in conds.as_tuple())
+        assert all(x is True for x in astuple(conds))
     for i in range(100):
         m, n = SHAPES[i % len(SHAPES)]
         base = random_tp_kraus(rng, m, n, max(1 + i % 3, -(-n // m)))
@@ -146,7 +147,7 @@ def test_criterion_04_six_tp_conditions():
         broken = ch.KrausSet(base.shape, base.ops + (extra,))
         conds = ch.six_tp_conditions(ch.channel_from_kraus(broken))
         assert conds.unanimous()
-        assert all(x is False for x in conds.as_tuple())
+        assert all(x is False for x in astuple(conds))
 
 
 @criterion(5, "single-term operations score zero; full mixing scores n^2 - 1")

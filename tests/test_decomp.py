@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choikit import bipartite as bp
 from choikit import channel as ch
@@ -204,3 +206,36 @@ class TestFindKrausIsometry:
         rng = np.random.default_rng(36)
         with pytest.raises(DimensionMismatch):
             decomp.find_kraus_isometry(random_kraus(rng, 2, 2, 2), random_kraus(rng, 3, 2, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    r=st.integers(1, 16),
+    member=st.sampled_from([None, "dependent", "zero"]),
+    exponent=st.integers(-8, 8),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixing_isometry_reproduces_the_larger_family(m, n, r, member, exponent, extra, seed):
+    rng = np.random.default_rng(seed)
+    r = min(r, m * n)
+    ops = list(random_kraus(rng, m, n, r).ops)
+    if member == "dependent" and r > 1:
+        ops[-1] = sum(crandn(rng) * op for op in ops[:-1])
+    elif member == "zero":
+        ops[-1] = np.zeros((m, n))
+    small = ch.KrausSet(bp.BipartiteShape(m, n), tuple(10.0**exponent * op for op in ops))
+    u = random_isometry(rng, r + extra, r)
+    big = ch.KrausSet(small.shape, tuple(np.einsum("xy,yij->xij", u, np.array(small.ops))))
+    for a, b in ((big, small), (small, big)):
+        rel = decomp.find_kraus_isometry(a, b)
+        larger, smaller = (a, b) if rel.direction == "a_from_b" else (b, a)
+        assert len(larger) == r + extra
+        q = len(smaller)
+        assert rel.matrix.shape == (r + extra, q)
+        assert np.allclose(rel.matrix.conj().T @ rel.matrix, np.eye(q), rtol=0.0, atol=1e-10)
+        got = np.einsum("xy,yij->xij", rel.matrix, np.array(smaller.ops))
+        scale = np.linalg.norm(np.array(larger.ops))
+        assert np.linalg.norm(got - np.array(larger.ops)) <= 1e-10 * scale

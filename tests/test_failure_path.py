@@ -27,6 +27,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "choikit"
         ("LinAlgError", {"matlin.py"}),
         ("compute_uv=False", {"matlin.py"}),
         ("raise ValueError(", set()),
+        ("np.linalg.svd(", {"matlin.py"}),
+        ("np.linalg.qr(", {"matlin.py"}),
+        ("np.linalg.inv(", {"matlin.py"}),
     ],
 )
 def test_failure_idiom_lives_in_one_module(needle, allowed):
@@ -51,20 +54,17 @@ def _isometry_between_identity_families():
     [
         (np.linalg, "eigh", lambda: ml.hermitian_eig(np.eye(2))),
         (np.linalg, "svd", lambda: ml.svd(np.eye(2))),
-        (np.linalg, "svd", lambda: ml.gram_eig(np.eye(2))),
         (np.linalg, "svd", lambda: ml.polar(np.eye(2))),
         (np.linalg, "svd", lambda: ml.matrix_rank(np.eye(2))),
         (np.linalg, "qr", lambda: ml.qr(np.eye(2))),
         (scipy.linalg, "schur", lambda: ml.schur(np.eye(2))),
         (np.linalg, "eigvalsh", _extremality_of_identity),
-        (np.linalg, "inv", lambda: alg.group_inverse(alg.phi_homomorphism(np.eye(2)))),
+        (np.linalg, "svd", lambda: alg.group_inverse(alg.group_identity(2))),
         (np.linalg, "svd", _isometry_between_identity_families),
-        (np.linalg, "qr", _isometry_between_identity_families),
     ],
     ids=[
         "hermitian_eig",
         "svd",
-        "gram_eig",
         "polar",
         "matrix_rank",
         "qr",
@@ -72,7 +72,6 @@ def _isometry_between_identity_families():
         "is_extremal_tp",
         "group_inverse",
         "find_kraus_isometry-svd",
-        "find_kraus_isometry-qr",
     ],
 )
 def test_factorization_failure_is_a_convergence_failure(monkeypatch, module, name, call):
