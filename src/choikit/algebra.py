@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bipartite as bp
 from . import matlin as ml
-from .channel import Channel, channel_from_superop
+from .channel import Channel
 from .errors import (
     DimensionMismatch,
     NotCompletelyPositive,
@@ -195,10 +195,7 @@ def dual_functional(e: bp.BipartiteOperator):
     em = e.mat
 
     def functional(s: Union[bp.BipartiteOperator, np.ndarray]) -> complex:
-        mat = s.mat if isinstance(s, bp.BipartiteOperator) else ml.as_matrix(s)
-        if mat.shape != em.shape:
-            raise DimensionMismatch(f"expected shape {em.shape}, got {mat.shape}")
-        return complex(np.vdot(em, mat))
+        return ml.frobenius_inner(em, s.mat if isinstance(s, bp.BipartiteOperator) else s)
 
     return functional
 

@@ -126,12 +126,14 @@ def _spectrum(c: Channel, tol: Tolerance):
     With a factor A it is read off the SVD of A instead: the squared
     singular values, padded with zeros to m*n, and the left singular
     vectors of the nonzero ones.  The SVD cuts at zero tolerance, so the
-    Kraus cut on the eigenvalues is the only one.  s = A A† is Hermitian
-    and positive semidefinite by construction, so no Hermiticity residual
-    is taken and no negative-eigenvalue witness is ever asked for.
+    Kraus cut on the eigenvalues is the only one, and it is computed once
+    for all tolerances.  s = A A† is Hermitian and positive semidefinite
+    by construction, so no Hermiticity residual is taken and no
+    negative-eigenvalue witness is ever asked for.
     """
-    if tol not in c._spectra:
-        a = c.factor
+    a = c.factor
+    key = tol if a is None else None
+    if key not in c._spectra:
         try:
             if a is not None:
                 v, sv, _ = ml.svd(a, Tolerance(abs=0.0, rel=0.0))
@@ -140,10 +142,10 @@ def _spectrum(c: Channel, tol: Tolerance):
             else:
                 w, v = ml.hermitian_eig(c.choi_mat, tol)
             w.flags.writeable = v.flags.writeable = False
-            c._spectra[tol] = (w, v)
+            c._spectra[key] = (w, v)
         except NotHermitian:
-            c._spectra[tol] = None
-    return c._spectra[tol]
+            c._spectra[key] = None
+    return c._spectra[key]
 
 
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
@@ -495,13 +497,15 @@ def is_bistochastic(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a completely positive operation is a single conjugation.
 
-    Evaluates the scalar ``(tr F(id_n))^2 - |S|_F^2`` (with S the
-    superoperator), which vanishes exactly when the block matrix has
-    rank one, i.e. the operation is ``rho -> a rho a†`` for a single a.
-    Both terms are read off the block matrix s: ``tr F(id_n) = tr s``,
-    and ``|S|_F = |s|_F`` since reshuffling only permutes entries.  The
-    equivalent form ``(tr s)^2 - tr(s^2)`` is computed from the
-    eigenvalues of s as a cross-check.  Requires complete positivity.
+    The operation is ``rho -> a rho a†`` for a single nonzero a exactly
+    when the block matrix s has rank one, and that is decided by the rank
+    rule of :func:`higher_rank` (so the zero operation is not
+    factorizable).  The paper's scalar ``(tr F(id_n))^2 - |S|_F^2``
+    (with S the superoperator), which vanishes exactly at rank at most
+    one, is evaluated from the entries of s (``tr F(id_n) = tr s``, and
+    ``|S|_F = |s|_F`` since reshuffling only permutes entries) and
+    cross-checked against its eigenvalue form ``(tr s)^2 - tr(s^2)``.
+    Requires complete positivity.
     """
     _require_cp(c, tol, "factorizability is defined on the completely positive cone")
     s = c.choi_mat
@@ -512,7 +516,7 @@ def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     alt = float(w.sum() ** 2 - w @ w)
     if abs(value - alt) > tol.threshold(t1 * t1 + norm2):
         raise NumericalFailure("factorizability cross-check disagreed")
-    return bool(abs(value) <= tol.threshold(t1 * t1))
+    return ml.numeric_rank(w, tol) == 1
 
 
 def higher_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:

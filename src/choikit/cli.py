@@ -6,8 +6,9 @@ so that output files are byte-stable across runs and round-trip exactly
 through IEEE doubles.
 
 Exit codes: 0 success, 2 malformed input (an unreadable or undecodable
-document, a bad flag value, an ``--out`` file that cannot be written), 3
-dimension mismatch, 4 unmet precondition, 5 numerical failure or overflow.
+document, a bad flag value or a flag the command does not take, an
+``--out`` file that cannot be written), 3 dimension mismatch, 4 unmet
+precondition, 5 numerical failure or overflow.
 
 Document formats
 ----------------
@@ -45,7 +46,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .matlin import Tolerance
+from .matlin import DEFAULT_TOL, Tolerance
 
 __all__ = ["main"]
 
@@ -205,7 +206,7 @@ def load_channel(path: str) -> ch.Channel:
     return parse_channel(_load_json(path), path)
 
 
-def channel_doc(c: ch.Channel, representation: str, tol: Tolerance) -> dict:
+def channel_doc(c: ch.Channel, representation: str, tol: Tolerance = DEFAULT_TOL) -> dict:
     m, n = c.shape.m, c.shape.n
     if representation == "choi":
         payload = matrix_doc(c.choi_mat)
@@ -298,7 +299,7 @@ def cmd_decompose(args) -> dict:
 def cmd_compose(args) -> dict:
     outer = load_channel(args.outer)
     inner = load_channel(args.inner)
-    return channel_doc(ch.compose(outer, inner), "choi", _tol(args))
+    return channel_doc(ch.compose(outer, inner), "choi")
 
 
 def cmd_diamond(args) -> dict:
@@ -365,14 +366,16 @@ _TOLERANCE = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite 
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=_TOLERANCE, default=1e-12, help="absolute tolerance")
-    common.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9, help="relative tolerance")
-    common.add_argument("--seed", type=_SEED, default=0, help="seed for randomized checks")
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol-abs", type=_TOLERANCE, default=1e-12, help="absolute tolerance")
+    tol.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9, help="relative tolerance")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=_SEED, default=0, help="seed for randomized checks")
+    sampling.add_argument(
         "--samples", type=_SAMPLES, default=10000, help="sample count for randomized checks"
     )
-    common.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="choikit",
@@ -380,44 +383,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="run the full predicate suite on a channel")
+    p = sub.add_parser(
+        "classify", parents=[tol, sampling, out], help="run the full predicate suite on a channel"
+    )
     p.add_argument("channel", help="channel JSON file")
     p.set_defaults(run=cmd_classify)
 
-    p = sub.add_parser("convert", parents=[common], help="convert a channel between representations")
+    p = sub.add_parser("convert", parents=[tol, out], help="convert a channel between representations")
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--to", required=True, choices=["choi", "superop", "kraus"])
     p.set_defaults(run=cmd_convert)
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose a bipartite vector")
+    p = sub.add_parser("decompose", parents=[tol, out], help="decompose a bipartite vector")
     p.add_argument("state", help="vector JSON file (rows = m*n, cols = 1)")
     p.add_argument("--method", required=True, choices=["schmidt", "qr", "schur"])
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser(
-        "compose", parents=[common], help="compose two channels (the second argument acts first)"
+        "compose", parents=[out], help="compose two channels (the second argument acts first)"
     )
     p.add_argument("outer", help="channel applied second")
     p.add_argument("inner", help="channel applied first")
     p.set_defaults(run=cmd_compose)
 
-    p = sub.add_parser("diamond", parents=[common], help="diamond product of two doubled-system states")
+    p = sub.add_parser("diamond", parents=[out], help="diamond product of two doubled-system states")
     p.add_argument("first", help="state JSON file (n^2 x n^2 matrix)")
     p.add_argument("second", help="state JSON file (n^2 x n^2 matrix)")
     p.set_defaults(run=cmd_diamond)
 
-    p = sub.add_parser("apply", parents=[common], help="apply a channel to an n x n matrix")
+    p = sub.add_parser("apply", parents=[out], help="apply a channel to an n x n matrix")
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("state", help="matrix JSON file (n x n)")
     p.set_defaults(run=cmd_apply)
 
-    p = sub.add_parser("ppt", parents=[common], help="partial-transpose positivity test")
+    p = sub.add_parser("ppt", parents=[tol, out], help="partial-transpose positivity test")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) Hermitian matrix)")
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.set_defaults(run=cmd_ppt)
 
-    p = sub.add_parser("measure", parents=[common], help="act on a measurement operator through a state")
+    p = sub.add_parser("measure", parents=[out], help="act on a measurement operator through a state")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) matrix)")
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.add_argument("--m-op", required=True, help="measurement operator JSON file (n x n)")

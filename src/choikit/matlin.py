@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -90,10 +89,11 @@ def as_matrix(a) -> np.ndarray:
 
 @contextmanager
 def _linalg_guard():
-    """Re-raise a numpy/scipy ``LinAlgError`` as :class:`ConvergenceFailure`."""
+    """Re-raise a ``LinAlgError`` as :class:`ConvergenceFailure` (scipy's
+    is numpy's class)."""
     try:
         yield
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
 
@@ -231,6 +231,8 @@ def schur(a):
 
     The eigenvalues of ``a`` appear on the diagonal of ``t``.
     """
+    import scipy.linalg  # imported here: the only scipy call, and a slow import
+
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")

@@ -479,6 +479,23 @@ class TestFactorizability:
             c = random_cp_channel(rng, 2, 2, count)
             assert ch.is_factorizable(c) == (ch.higher_rank(c) == 1)
 
+    @pytest.mark.parametrize("form", ["choi", "kraus"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.7, 2.0])
+    def test_agrees_with_the_rank_rule_at_the_boundary(self, form, ratio):
+        # a second eigenvalue near the rank threshold rel * |s|_F
+        lam = ratio * ml.DEFAULT_TOL.rel
+        if form == "choi":
+            c = ch.channel_from_choi(np.diag([1.0, lam, 0.0, 0.0]), S2)
+        else:
+            units = np.eye(4).reshape(4, 2, 2)
+            c = ch.channel_from_kraus(ch.KrausSet(S2, (units[0], np.sqrt(lam) * units[1])))
+        single = ch.higher_rank(c) == 1
+        assert single == (ratio < 1)
+        assert ch.is_factorizable(c) == single
+        assert (len(ch.kraus_from_channel(c)) == 1) == single
+        kind = alg.classify_entanglement(c.choi).kind
+        assert (kind is not alg.EntanglementKind.MIXED) == single
+
 
 class TestRankAndIsometric:
     def test_higher_rank_frozen_cases(self):
@@ -743,7 +760,7 @@ class TestSharedSpectrum:
         tol = ml.Tolerance()
         self._suite(c, tol, counts, {"hermitian_eig": 0, "svd": 1})
         ch.higher_rank(c, ml.Tolerance(rel=1e-6))
-        assert counts == {"hermitian_eig": 0, "svd": 2}
+        assert counts == {"hermitian_eig": 0, "svd": 1}
 
     def test_family_of_mn_members_takes_eigh(self, counts):
         c = random_tp_channel(np.random.default_rng(4), 2, 2, 4)

@@ -31,10 +31,9 @@ def run_cli(capsys, *argv):
 
 def write_channel(tmp_path, name, c: ch.Channel, representation="choi"):
     from choikit.cli import channel_doc
-    from choikit.matlin import DEFAULT_TOL
 
     path = tmp_path / name
-    path.write_text(render_document(channel_doc(c, representation, DEFAULT_TOL)))
+    path.write_text(render_document(channel_doc(c, representation)))
     return str(path)
 
 
@@ -308,6 +307,40 @@ class TestParsingAndExitCodes:
         assert "choikit" in capsys.readouterr().err
 
 
+_STATES = ROOT / "data" / "states"
+_TOL_FLAGS = ["--tol-abs", "--tol-rel"]
+_SAMPLING_FLAGS = ["--seed", "--samples"]
+# a valid call of each command that does not read every flag, and the
+# flags it does not accept (classify accepts all five)
+_CALLS = {
+    "convert": ([str(DATA / "identity.json"), "--to", "choi"], _SAMPLING_FLAGS),
+    "decompose": ([str(_STATES / "bell_vector.json"), "--method", "schmidt", "--cut", "2", "2"], _SAMPLING_FLAGS),
+    "ppt": ([str(_STATES / "bell_projector.json"), "--cut", "2", "2"], _SAMPLING_FLAGS),
+    "compose": ([str(DATA / "identity.json")] * 2, _TOL_FLAGS + _SAMPLING_FLAGS),
+    "diamond": ([str(_STATES / "bell_projector.json")] * 2, _TOL_FLAGS + _SAMPLING_FLAGS),
+    "apply": ([str(DATA / "identity.json"), str(_STATES / "mixed_qubit.json")], _TOL_FLAGS + _SAMPLING_FLAGS),
+    "measure": (
+        [str(_STATES / "bell_projector.json"), "--cut", "2", "2", "--m-op", str(_STATES / "mixed_qubit.json")],
+        _TOL_FLAGS + _SAMPLING_FLAGS,
+    ),
+}
+_UNREAD = [(command, flag) for command, (_, flags) in _CALLS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+def test_flag_a_command_does_not_read_exits_2(capsys, tmp_path, command, flag):
+    argv = [command] + _CALLS[command][0] + ["--out", str(tmp_path / "x.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("usage:") == 1
+    assert captured.err.endswith(f"choikit: error: unrecognized arguments: {flag} 3\n")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
@@ -456,16 +489,17 @@ def _file_bytes(draw, docs):
 
 
 _FILES = {"channel": _file_bytes(_channel_docs()), "matrix": _file_bytes(_matrix_docs())}
-# command -> the kinds of its file arguments, and its required flags
+# command -> the kinds of its file arguments, its required flags and the
+# optional flags it accepts besides --out
 _COMMANDS = {
-    "classify": (["channel"], []),
-    "convert": (["channel"], ["--to"]),
-    "compose": (["channel", "channel"], []),
-    "apply": (["channel", "matrix"], []),
-    "diamond": (["matrix", "matrix"], []),
-    "decompose": (["matrix"], ["--method", "--cut"]),
-    "ppt": (["matrix"], ["--cut"]),
-    "measure": (["matrix", "matrix"], ["--cut"]),
+    "classify": (["channel"], [], _TOL_FLAGS + _SAMPLING_FLAGS),
+    "convert": (["channel"], ["--to"], _TOL_FLAGS),
+    "compose": (["channel", "channel"], [], []),
+    "apply": (["channel", "matrix"], [], []),
+    "diamond": (["matrix", "matrix"], [], []),
+    "decompose": (["matrix"], ["--method", "--cut"], _TOL_FLAGS),
+    "ppt": (["matrix"], ["--cut"], _TOL_FLAGS),
+    "measure": (["matrix", "matrix"], ["--cut"], []),
 }
 _CUT_SIDE = _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-2", "4", "x"]))
 _FLAG_VALUES = {
@@ -495,7 +529,7 @@ _FLAG_VALUES = {
 @given(data=st.data())
 def test_fuzzed_documents_and_flags_keep_the_exit_code_contract(tmp_path_factory, data):
     command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
-    kinds, flags = _COMMANDS[command]
+    kinds, flags, optional = _COMMANDS[command]
     folder = tmp_path_factory.mktemp("fuzz")
     paths = []
     for i, kind in enumerate(kinds):
@@ -503,8 +537,9 @@ def test_fuzzed_documents_and_flags_keep_the_exit_code_contract(tmp_path_factory
         path.write_bytes(data.draw(_FILES[kind], label=f"file {i}"))
         paths.append(str(path))
     argv = [command] + (paths[:1] + ["--m-op", paths[1]] if command == "measure" else paths)
-    optional = st.lists(st.sampled_from(["--tol-abs", "--tol-rel", "--seed"]), max_size=2, unique=True)
-    for flag in flags + data.draw(optional, label="flags") + ["--samples"]:
+    if optional:
+        flags = flags + data.draw(st.lists(st.sampled_from(optional), max_size=2, unique=True), label="flags")
+    for flag in flags:
         value = data.draw(_FLAG_VALUES[flag], label=flag)
         argv += [flag] + (value if isinstance(value, list) else [value])
     try:
