@@ -67,6 +67,16 @@ class TestGoldenReports:
         assert code == 0
         assert out == (GOLDEN / f"classify_{name}.json").read_text()
 
+    @pytest.mark.parametrize(
+        "name,to",
+        [(name, "superop") for name in BUNDLED]
+        + [(name, "kraus") for name in BUNDLED if name != "transpose"],
+    )
+    def test_convert_bytes_match_golden(self, capsys, name, to):
+        code, out = run_cli(capsys, "convert", str(DATA / f"{name}.json"), "--to", to)
+        assert code == 0
+        assert out == (GOLDEN / f"convert_{name}_{to}.json").read_text()
+
     def test_classify_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "classify", str(DATA / "transpose.json"))
         _, second = run_cli(capsys, "classify", str(DATA / "transpose.json"))
