@@ -135,6 +135,8 @@ class EntanglementClass:
     schmidt_rank: Optional[int]
     coefficients: Optional[np.ndarray]
 
+    __eq__ = bp._value_eq
+
 
 def classify_entanglement(
     state: Union[bp.BipartiteVector, bp.BipartiteOperator],
@@ -182,7 +184,7 @@ def schur_product_channels(a: Channel, b: Channel) -> Channel:
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return Channel(a.shape, bp.BipartiteOperator(a.shape, a.choi_mat * b.choi_mat))
+    return Channel(bp.BipartiteOperator(a.shape, a.choi_mat * b.choi_mat))
 
 
 def dual_functional(e: bp.BipartiteOperator):

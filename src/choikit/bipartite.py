@@ -22,7 +22,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,19 +73,17 @@ def _as_vector(data, length: int) -> np.ndarray:
     return _frozen_copy(v[:, np.newaxis])[:, 0]
 
 
-def _array_eq(name: str):
-    """``__eq__`` of a wrapper of one array: the same type, an equal shape
-    and equal entries.  The generated one would compare the arrays as
-    tuple members, which raises for more than one entry."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(getattr(self, name), getattr(other, name))
-        )
-
-    return __eq__
+def _value_eq(self, other):
+    """``__eq__`` of a dataclass holding arrays: the same type, then each
+    ``compare`` field, arrays by shape and entries and the rest by ``==``.
+    The generated one raises on arrays of more than one entry."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(
+        bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ class BipartiteVector:
     def __post_init__(self):
         object.__setattr__(self, "data", _as_vector(self.data, self.shape.dim))
 
-    __eq__ = _array_eq("data")
+    __eq__ = _value_eq
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class BipartiteOperator:
             raise DimensionMismatch(f"expected a {d} x {d} matrix, got {m.shape}")
         object.__setattr__(self, "mat", m)
 
-    __eq__ = _array_eq("mat")
+    __eq__ = _value_eq
 
 
 def kron(a, b) -> np.ndarray:

@@ -74,23 +74,20 @@ __all__ = [
 class Channel:
     """An operation from n x n to m x m matrices, held as its block matrix.
 
-    ``shape.m`` is the output dimension, ``shape.n`` the input dimension.
-    The block matrix is read-only, so the spectral analysis of it is kept
-    here, one per tolerance.  ``factor`` is None, or the read-only
+    ``shape`` is the block matrix's: ``m`` the output, ``n`` the input
+    dimension.  The block matrix is read-only, so its spectral analysis is
+    kept here, one per tolerance.  ``factor`` is None, or the read-only
     (m*n) x r matrix A with ``s = A A†`` and r < m*n that
     :func:`channel_from_kraus` sets; the spectrum is then read off A.
     """
 
-    shape: bp.BipartiteShape
     choi: bp.BipartiteOperator
     factor: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
     _spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.choi.shape != self.shape:
-            raise DimensionMismatch(
-                f"block matrix has shape {self.choi.shape}, channel declares {self.shape}"
-            )
+    @property
+    def shape(self) -> bp.BipartiteShape:
+        return self.choi.shape
 
     @property
     def choi_mat(self) -> np.ndarray:
@@ -99,21 +96,26 @@ class Channel:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A finite family of m x n operators, all of the same size (read-only copies)."""
+    """A family of r >= 1 operators a_x of size m x n, stored once: ``stack``
+    is a read-only r x (m*n) copy whose row x is the row-major vec of a_x,
+    and ``ops`` the tuple of its rows as read-only m x n views."""
 
     shape: bp.BipartiteShape
-    ops: tuple
+    ops: tuple = field(compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        m, n = self.shape.m, self.shape.n
         if len(self.ops) == 0:
             raise InvalidValue("a Kraus family must contain at least one operator")
-        ops = tuple(ml._frozen_copy(op) for op in self.ops)
-        for op in ops:
-            if op.shape != (self.shape.m, self.shape.n):
-                raise DimensionMismatch(
-                    f"operator of shape {op.shape} in a {self.shape.m} x {self.shape.n} family"
-                )
-        object.__setattr__(self, "ops", ops)
+        for op in self.ops:
+            if np.shape(op) != (m, n):
+                raise DimensionMismatch(f"operator of shape {np.shape(op)} in a {m} x {n} family")
+        stack = ml._frozen_copy(np.reshape(self.ops, (len(self.ops), m * n)))
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ops", tuple(stack.reshape(-1, m, n)))
+
+    __eq__ = bp._value_eq
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -150,23 +152,20 @@ def _spectrum(c: Channel, tol: Tolerance):
 
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
     """Wrap an (m*n) x (m*n) matrix as a channel in block-matrix form."""
-    return Channel(shape, bp.BipartiteOperator(shape, mat))
+    return Channel(bp.BipartiteOperator(shape, mat))
 
 
 def channel_from_kraus(k: KrausSet) -> Channel:
     """Block matrix of ``rho -> sum_x a_x rho a_x†``.
 
-    Equals ``A A†`` with ``A = [vec(a_1) ... vec(a_r)]`` and row-major
-    ``vec``; it is Hermitian positive semidefinite by construction.  A is
-    kept as the channel's ``factor`` when it has fewer columns than rows.
+    Equals ``A A†`` with ``A = [vec(a_1) ... vec(a_r)] = k.stack.T``; it
+    is Hermitian positive semidefinite by construction.  A, a view of the
+    stack, is kept as the channel's ``factor`` when r < m*n.
     """
-    vecs = np.stack([op.reshape(-1) for op in k.ops])
-    choi = vecs.T @ vecs.conj()
-    c = channel_from_choi(choi, k.shape)
-    if len(k) < k.shape.m * k.shape.n:
-        # set only here, from a fresh array, so A A† is the block matrix
-        vecs.flags.writeable = False
-        object.__setattr__(c, "factor", vecs.T)
+    c = channel_from_choi(k.stack.T @ k.stack.conj(), k.shape)
+    if len(k) < k.shape.dim:
+        # set only here, so A A† is the block matrix
+        object.__setattr__(c, "factor", k.stack.T)
     return c
 
 
@@ -178,18 +177,16 @@ def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     :class:`NotCompletelyPositive` carrying the witness eigenvector.
     It keeps the first ``higher_rank(c)`` eigenpairs, so eigenvalues
     inside the tolerance band of :func:`matlin.numeric_rank` are dropped
-    and the members are ordered by decreasing weight.
+    and the members are ordered by decreasing weight; a family is never
+    empty, so the zero operation (rank 0) gets one zero operator.
     """
     _require_cp(c, tol, "block matrix is not positive semidefinite")
     w, v = _spectrum(c, tol)
     r = ml.numeric_rank(w, tol)
     if r == 0:
-        # the zero operation still needs a representative
         return KrausSet(c.shape, (np.zeros((c.shape.m, c.shape.n)),))
-    ops = tuple(
-        np.sqrt(w[i]) * v[:, i].reshape(c.shape.m, c.shape.n) for i in range(r)
-    )
-    return KrausSet(c.shape, ops)
+    ops = (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, c.shape.m, c.shape.n)
+    return KrausSet(c.shape, tuple(ops))
 
 
 def superop_from_channel(c: Channel) -> np.ndarray:
@@ -199,7 +196,7 @@ def superop_from_channel(c: Channel) -> np.ndarray:
 
 def channel_from_superop(mat, shape: bp.BipartiteShape) -> Channel:
     """Inverse of :func:`superop_from_channel`."""
-    return Channel(shape, bp.unreshuffle_hat(mat, shape))
+    return Channel(bp.unreshuffle_hat(mat, shape))
 
 
 def apply(c: Channel, rho) -> np.ndarray:
@@ -294,6 +291,8 @@ class PositivityVerdict:
     min_value: float
     witness_psi: Optional[np.ndarray]
     witness_phi: Optional[np.ndarray]
+
+    __eq__ = bp._value_eq
 
 
 MAX_SAMPLES = 10**6
@@ -526,7 +525,8 @@ def higher_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
     (:func:`matlin.numeric_rank`), the threshold the positivity test and
     the Kraus cut use, so it equals
     ``len(kraus_from_channel(c, tol))`` on the completely positive cone:
-    the minimal number of conjugation terms.  Raises
+    the minimal number of conjugation terms.  The zero operation is the
+    exception, rank 0 with one zero Kraus operator.  Raises
     :class:`NotHermitian` off the Hermitian cone.
     """
     spec = _spectrum(c, tol)
@@ -619,10 +619,10 @@ class ChannelVerdict:
     the one threshold ``tol.threshold(|s|_F)`` of
     :func:`matlin.numeric_rank`.  ``higher_rank`` counts the eigenvalue
     moduli (singular values off the Hermitian cone) above it, so it is
-    defined everywhere and equals ``len(kraus_from_channel(c))``
-    on the CP cone.  ``factorizable`` is reported False off the CP cone,
-    and ``extremal_tp`` is None unless the operation is CP and trace
-    preserving.
+    defined everywhere and equals ``len(kraus_from_channel(c))`` on the
+    CP cone, except 0 against 1 for the zero operation.  ``factorizable``
+    is reported False off the CP cone, and ``extremal_tp`` is None unless
+    the operation is CP and trace preserving.
     """
 
     hermitian_preserving: bool

@@ -48,6 +48,8 @@ class SchmidtForm:
     right_basis: np.ndarray
     rank: int
 
+    __eq__ = bp._value_eq
+
     def reconstruct(self) -> bp.BipartiteVector:
         mat = (self.left_basis * self.coefficients) @ self.right_basis.T
         return bp.BipartiteVector(self.shape, mat.reshape(-1))
@@ -72,15 +74,15 @@ def schmidt(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtForm:
 def polar_of_pure_channel(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL):
     """Polar factors of hat(v), tied back to the reduced states of v.
 
-    Returns ``(u, j, k)`` with ``hat(v) = u j = k u``.  The positive
-    parts are square roots of the partial traces of the projector vv†:
-    ``j`` is the transpose of sqrt of the trace over the first factor,
-    ``k`` the sqrt of the trace over the second.  Both identities are
-    verified internally; failure raises :class:`NumericalFailure`.
-    Requires m >= n so that an isometric u exists.
+    Returns ``(u, j, k)`` with u = :func:`matlin.polar` of hat(v),
+    ``j = u† hat(v)`` and ``k = hat(v) u†``, so ``hat(v) = u j = k u``.
+    j is the transpose of sqrt of the trace of vv† over the first factor,
+    k the sqrt of the trace over the second; both are verified, failure
+    raising :class:`NumericalFailure`.  Requires m >= n (u isometric).
     """
     a = bp.hat(v)
-    u, j, k = ml.polar(a)
+    u = ml.polar(a)
+    j, k = u.conj().T @ a, a @ u.conj().T
     proj = np.outer(v.data, v.data.conj())
     op = bp.BipartiteOperator(v.shape, proj)
     j_bridge = ml.sqrt_psd(bp.partial_trace_1(op), tol).T
@@ -108,6 +110,8 @@ class TriangularForm:
     coefficients: np.ndarray
     basis_right: Optional[np.ndarray] = None
 
+    __eq__ = bp._value_eq
+
     def reconstruct(self) -> np.ndarray:
         if self.basis_right is None:
             return self.basis_left @ self.coefficients
@@ -134,14 +138,17 @@ def two_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
 class Dilation:
     """Block-stacked isometry-like dilation of a Kraus family.
 
-    ``matrix`` is the (r*m) x n stack of the r operators; ``gram`` is
-    matrix† matrix = sum_x a_x† a_x, which equals id_n exactly when the
-    family is trace preserving (making ``matrix`` an isometry).
+    ``matrix`` is the (r*m) x n stack of the r operators, a view of the
+    family's ``stack``; ``gram`` is matrix† matrix = sum_x a_x† a_x, which
+    equals id_n exactly when the family is trace preserving (making
+    ``matrix`` an isometry).
     """
 
     ancilla_dim: int
     matrix: np.ndarray
     gram: np.ndarray
+
+    __eq__ = bp._value_eq
 
     def act(self, rho) -> np.ndarray:
         """Conjugate by the dilation, then trace out the ancilla factor."""
@@ -157,12 +164,8 @@ class Dilation:
 
 def dilate(k: KrausSet) -> Dilation:
     """Stack a Kraus family into a single dilation block column."""
-    matrix = np.concatenate(k.ops, axis=0)
-    return Dilation(
-        ancilla_dim=len(k.ops),
-        matrix=matrix,
-        gram=matrix.conj().T @ matrix,
-    )
+    matrix = k.stack.reshape(-1, k.shape.n)
+    return Dilation(ancilla_dim=len(k), matrix=matrix, gram=matrix.conj().T @ matrix)
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,8 @@ class KrausIsometry:
     matrix: np.ndarray
     direction: str
 
+    __eq__ = bp._value_eq
+
 
 def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Isometric u (p x q, p >= q) with u @ small == big, rows flattened ops.
@@ -187,7 +192,7 @@ def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndar
     range(G), which contains range(small).
     """
     q = small.shape[0]
-    u = ml.polar(big @ small.conj().T)[0]
+    u = ml.polar(big @ small.conj().T)
     resid = ml.frobenius_norm(u @ small - big)
     if resid > tol.threshold(ml.frobenius_norm(big)) * 1e3:
         raise NumericalFailure("mixing matrix does not reproduce the larger family")
@@ -207,8 +212,6 @@ def find_kraus_isometry(a: KrausSet, b: KrausSet, tol: Tolerance = DEFAULT_TOL) 
     """
     if not channel_equal(channel_from_kraus(a), channel_from_kraus(b), tol):
         raise DifferentChannels("the two families describe different operations")
-    stack_a = np.stack([op.reshape(-1) for op in a.ops])
-    stack_b = np.stack([op.reshape(-1) for op in b.ops])
     if len(a) >= len(b):
-        return KrausIsometry(_mix_isometry(stack_a, stack_b, tol), "a_from_b")
-    return KrausIsometry(_mix_isometry(stack_b, stack_a, tol), "b_from_a")
+        return KrausIsometry(_mix_isometry(a.stack, b.stack, tol), "a_from_b")
+    return KrausIsometry(_mix_isometry(b.stack, a.stack, tol), "b_from_a")

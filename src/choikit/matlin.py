@@ -242,24 +242,17 @@ def schur(a):
 
 
 def polar(a):
-    """Polar forms of a tall or square matrix.
+    """Isometric polar factor of a tall or square matrix.
 
-    Returns ``(u, j, k)`` with ``u`` an isometry (``u† u = id``) and
-    ``j``, ``k`` positive semidefinite Hermitian such that
-    ``a = u @ j = k @ u``.  ``j = sqrt(a† a)`` and ``k = sqrt(a a†)``
-    restricted to the range of ``a``.
+    Returns ``u`` with ``u† u = id`` and ``a = u @ sqrt(a† a) =
+    sqrt(a a†) @ u``, the positive parts restricted to the range of ``a``.
     """
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"polar needs rows >= cols, got {a.shape}")
     with _linalg_guard():
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    iso = u @ vh
-    j = vh.conj().T @ (s[:, np.newaxis] * vh)
-    k = u @ (s[:, np.newaxis] * u.conj().T)
-    j = (j + j.conj().T) / 2.0
-    k = (k + k.conj().T) / 2.0
-    return iso, j, k
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
 
 
 def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -243,8 +243,8 @@ class TestDualFunctional:
         rng = np.random.default_rng(33)
         e = bp.BipartiteOperator(bp.BipartiteShape(2, 2), crandn(rng, 4, 4))
         s = bp.BipartiteOperator(bp.BipartiteShape(2, 2), crandn(rng, 4, 4))
-        ce = ch.Channel(e.shape, e)
-        cs = ch.Channel(s.shape, s)
+        ce = ch.Channel(e)
+        cs = ch.Channel(s)
         total = 0.0 + 0.0j
         for j in range(2):
             for l in range(2):
@@ -319,7 +319,7 @@ class TestStateAsMeasurement:
         for m, n in [(2, 2), (3, 2)]:
             s = bp.BipartiteOperator(bp.BipartiteShape(m, n), crandn(rng, m * n, m * n))
             m_op = crandn(rng, n, n)
-            c = ch.Channel(s.shape, s)
+            c = ch.Channel(s)
             got = alg.state_as_measurement(s, m_op)
             want = ch.apply(c, (m_op.conj().T @ m_op).T)
             assert np.allclose(got, want, atol=1e-12)

@@ -504,6 +504,13 @@ class TestRankAndIsometric:
         assert ch.higher_rank(ch.channel_from_choi(bell_projector(2), S2)) == 1
         assert ch.higher_rank(transpose_channel()) == 4
 
+    def test_zero_operation_has_rank_zero_and_one_zero_operator(self):
+        # a Kraus family has at least one member, so here the two counts differ
+        c = ch.channel_from_choi(np.zeros((4, 4)), S2)
+        assert ch.higher_rank(c) == 0 and ch.channel_verdict(c).higher_rank == 0
+        k = ch.kraus_from_channel(c)
+        assert len(k) == 1 and not k.ops[0].any()
+
     def test_higher_rank_needs_hermitian(self):
         rng = np.random.default_rng(37)
         with pytest.raises(NotHermitian):
@@ -694,6 +701,23 @@ class TestImmutability:
         with pytest.raises(ValueError):
             k.ops[0][0, 0] = 3.0
 
+    def test_kraus_family_is_one_stack_its_channel_and_dilation_share(self):
+        from choikit import decomp
+
+        k = random_kraus(np.random.default_rng(5), 3, 2, 2)
+        assert k.stack.shape == (2, 6) and not k.stack.flags.writeable
+        for x, op in enumerate(k.ops):
+            assert np.shares_memory(op, k.stack) and not op.flags.writeable
+            assert np.array_equal(op.reshape(-1), k.stack[x])
+        assert np.shares_memory(ch.channel_from_kraus(k).factor, k.stack)
+        assert np.shares_memory(decomp.dilate(k).matrix, k.stack)
+        # members can still be extended as a tuple
+        assert len(ch.KrausSet(k.shape, k.ops + (np.ones((3, 2)),))) == 3
+
+    def test_channel_is_its_block_matrix_alone(self):
+        op = bp.BipartiteOperator(bp.BipartiteShape(3, 2), np.eye(6))
+        assert ch.Channel(op).shape is op.shape
+
 
 class TestToleranceBoundary:
     D8 = bp.BipartiteShape(8, 8)
@@ -781,7 +805,7 @@ class TestSharedSpectrum:
         # a family of mn or more members has no thin factor to read
         assert random_tp_channel(np.random.default_rng(4), 2, 2, 4).factor is None
         with pytest.raises(TypeError):
-            ch.Channel(c.shape, c.choi, factor=np.ones((9, 2)))
+            ch.Channel(c.choi, factor=np.ones((9, 2)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)

@@ -228,13 +228,15 @@ class TestSchur:
 
 class TestPolar:
     def test_two_sided_factorization(self):
+        # a = u j = k u with u an isometry, j = u† a and k = a u† positive
         rng = np.random.default_rng(37)
         for shape in [(3, 3), (5, 2)]:
             a = crandn(rng, *shape)
-            u, j, k = ml.polar(a)
+            u = ml.polar(a)
+            assert np.allclose(u.conj().T @ u, np.eye(shape[1]), atol=1e-12)
+            j, k = u.conj().T @ a, a @ u.conj().T
             assert np.allclose(u @ j, a, atol=1e-11)
             assert np.allclose(k @ u, a, atol=1e-11)
-            assert np.allclose(u.conj().T @ u, np.eye(shape[1]), atol=1e-12)
             for h in (j, k):
                 assert np.allclose(h, h.conj().T, atol=1e-12)
                 assert np.min(np.linalg.eigvalsh(h)) > -1e-12
@@ -242,7 +244,7 @@ class TestPolar:
     def test_right_part_is_sqrt_of_gram(self):
         rng = np.random.default_rng(41)
         a = crandn(rng, 4, 3)
-        _, j, _ = ml.polar(a)
+        j = ml.polar(a).conj().T @ a
         assert np.allclose(j @ j, a.conj().T @ a, atol=1e-11)
 
     def test_wide_matrix_rejected(self):
