@@ -45,9 +45,10 @@ def _kraus(eps):
 
 def _not_positive(eps):
     # rho -> -(1 + eps) tr(rho) id: every sampled pair is a violation
-    return channel.check_positive_preserving(
-        channel.channel_from_choi(-(1 + eps) * np.eye(4), S2), samples=3
-    )
+    c = channel.channel_from_choi(-(1 + eps) * np.eye(4), S2)
+    verdict = channel.check_positive_preserving(c, samples=3)
+    assert verdict.outcome == "NotPositive"
+    return verdict
 
 
 # one builder per value type that holds arrays; eps perturbs its input
@@ -65,6 +66,6 @@ VALUE_TYPES = {
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_array_holding_values_compare_by_value(name):
     a, b, other = (VALUE_TYPES[name](eps) for eps in (0.0, 0.0, 1e-9))
-    assert type(a).__name__ == name and getattr(a, "outcome", "NotPositive") == "NotPositive"
+    assert type(a).__name__ == name
     assert a == b and not a != b
     assert a != other and not a == other
