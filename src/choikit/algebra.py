@@ -159,6 +159,7 @@ def classify_entanglement(
             return EntanglementClass(EntanglementKind.MIXED, None, None)
         state = bp.BipartiteVector(state.shape, np.sqrt(w[0]) * vecs[:, 0])
     u, s, wb = ml.svd(bp.hat(state), tol)
+    s.flags.writeable = False
     rank = int(s.size)
     m, n = state.shape.m, state.shape.n
     if rank <= 1:

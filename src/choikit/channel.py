@@ -15,6 +15,9 @@ computations; no optimization is involved.  The predicate suite
 (Hermiticity preserving, complete positivity, trace preservation,
 unitality, factorizability, extremality) reads everything off ``s``,
 its spectrum from one analysis per tolerance (see :func:`_spectrum`).
+Extremality reads the minimal Kraus family that spectrum gives (see
+:func:`_factor`), so it costs no second analysis and never forms the
+superoperator.
 """
 
 from __future__ import annotations
@@ -150,6 +153,18 @@ def _spectrum(c: Channel, tol: Tolerance):
     return c._spectra[key]
 
 
+def _factor(c: Channel, tol: Tolerance) -> np.ndarray:
+    """The (m*n) x r matrix ``v[:, :r] * sqrt(w[:r])`` of the memoised
+    spectrum (w, v), r = higher_rank(c): ``s = A A†`` up to the Kraus
+    cut, its columns the vecs of a minimal Kraus family.  Not the
+    channel's ``factor``, whose members may be dependent and many more
+    than r.  Requires the block matrix to be Hermitian positive
+    semidefinite."""
+    w, v = _spectrum(c, tol)
+    r = ml.numeric_rank(w, tol)
+    return v[:, :r] * np.sqrt(w[:r])
+
+
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
     """Wrap an (m*n) x (m*n) matrix as a channel in block-matrix form."""
     return Channel(bp.BipartiteOperator(shape, mat))
@@ -181,12 +196,10 @@ def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     empty, so the zero operation (rank 0) gets one zero operator.
     """
     _require_cp(c, tol, "block matrix is not positive semidefinite")
-    w, v = _spectrum(c, tol)
-    r = ml.numeric_rank(w, tol)
-    if r == 0:
+    a = _factor(c, tol)
+    if a.shape[1] == 0:
         return KrausSet(c.shape, (np.zeros((c.shape.m, c.shape.n)),))
-    ops = (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, c.shape.m, c.shape.n)
-    return KrausSet(c.shape, tuple(ops))
+    return KrausSet(c.shape, tuple(a.T.reshape(-1, c.shape.m, c.shape.n)))
 
 
 def superop_from_channel(c: Channel) -> np.ndarray:
@@ -406,13 +419,16 @@ def check_positive_preserving(
     for lo, hi in chunks:
         vals[lo:hi] = _exact_values(st, psi[lo:hi], phi[lo:hi])
     bad = np.flatnonzero(vals < -thr)
-    first = int(bad[0]) if bad.size else None
+    witness_psi = witness_phi = None
+    if bad.size:
+        witness_psi, witness_phi = psi[bad[0]].copy(), phi[bad[0]].copy()
+        witness_psi.flags.writeable = witness_phi.flags.writeable = False
     return PositivityVerdict(
-        outcome="NoViolationFound" if first is None else "NotPositive",
+        outcome="NoViolationFound" if witness_psi is None else "NotPositive",
         samples_used=samples,
         min_value=float(vals.min()),
-        witness_psi=None if first is None else psi[first].copy(),
-        witness_phi=None if first is None else phi[first].copy(),
+        witness_psi=witness_psi,
+        witness_phi=witness_phi,
     )
 
 
@@ -560,26 +576,28 @@ def extremal_span_dimension(k: KrausSet, tol: Tolerance = DEFAULT_TOL) -> int:
 def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extremality in the convex set of trace-preserving CP operations.
 
-    Forms the n^2 x n^2 Gram-type matrix
-    ``E[(j,j'),(l,l')] = sum_ik conj(s[(i,j),(k,l)]) s[(i,j'),(k,l')]``,
-    which is ``(S† S)[(j,l),(j',l')]`` with S the superoperator, and
-    whose rank equals the dimension of span{ a_x† a_y } for any minimal
-    Kraus family; the operation is extremal iff that rank is r^2 with
-    r = higher_rank(c).  Requires CP and trace preservation.
+    The operation is extremal iff span{ a_x† a_y } has the full dimension
+    r^2, with r = higher_rank(c) and the a_x any Kraus family of it.  As
+    the span lies in the n x n matrices, r > n is never extremal, and is
+    answered at once.  Otherwise the a_x are the r members of the minimal
+    family of :func:`_factor`, the columns of P are the r^2 vectors
+    vec(a_x† a_y), and the span's dimension is the numeric rank of the
+    r^2 x r^2 Gram matrix P† P.  Requires CP and trace preservation.
     """
     _require_cp(c, tol, "extremality is defined for completely positive operations")
     if not is_trace_preserving(c, tol):
         raise NotTracePreserving(
             "extremality is defined among trace-preserving operations"
         )
-    n = c.shape.n
-    s = superop_from_channel(c)
-    gram = (s.conj().T @ s).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    with ml._linalg_guard():
-        w = np.linalg.eigvalsh(gram)
-    rank_gram = ml.numeric_rank(w, tol)
+    m, n = c.shape.m, c.shape.n
     r = higher_rank(c, tol)
-    return rank_gram == r * r
+    if r > n:
+        return False
+    ops = _factor(c, tol).T.reshape(-1, m, n)
+    p = np.einsum("xij,yil->jlxy", ops.conj(), ops).reshape(n * n, -1)
+    with ml._linalg_guard():
+        w = np.linalg.eigvalsh(p.conj().T @ p)
+    return ml.numeric_rank(w, tol) == r * r
 
 
 def adjoint_channel(c: Channel) -> Channel:

@@ -62,11 +62,13 @@ def schmidt(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtForm:
     reduced (partially traced) projector of v.
     """
     u, s, w = ml.svd(bp.hat(v), tol)
+    w = w.conj()
+    u.flags.writeable = s.flags.writeable = w.flags.writeable = False
     return SchmidtForm(
         shape=v.shape,
         coefficients=s,
         left_basis=u,
-        right_basis=w.conj(),
+        right_basis=w,
         rank=int(s.size),
     )
 
@@ -121,6 +123,7 @@ class TriangularForm:
 def one_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
     """QR form of hat(v); needs m >= n."""
     q, r = ml.qr(bp.hat(v))
+    q.flags.writeable = r.flags.writeable = False
     return TriangularForm(basis_left=q, coefficients=r)
 
 
@@ -131,6 +134,7 @@ def two_sided_triangular(v: bp.BipartiteVector) -> TriangularForm:
     coefficient matrix is the eigenvalue multiset of hat(v).
     """
     u, t = ml.schur(bp.hat(v))
+    u.flags.writeable = t.flags.writeable = False
     return TriangularForm(basis_left=u, coefficients=t, basis_right=u)
 
 
@@ -165,7 +169,9 @@ class Dilation:
 def dilate(k: KrausSet) -> Dilation:
     """Stack a Kraus family into a single dilation block column."""
     matrix = k.stack.reshape(-1, k.shape.n)
-    return Dilation(ancilla_dim=len(k), matrix=matrix, gram=matrix.conj().T @ matrix)
+    gram = matrix.conj().T @ matrix
+    gram.flags.writeable = False
+    return Dilation(ancilla_dim=len(k), matrix=matrix, gram=gram)
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,7 @@ def _mix_isometry(big: np.ndarray, small: np.ndarray, tol: Tolerance) -> np.ndar
         raise NumericalFailure("mixing matrix does not reproduce the larger family")
     if ml.frobenius_norm(u.conj().T @ u - np.eye(q)) > tol.threshold(float(np.sqrt(q))) * 1e3:
         raise NumericalFailure("mixing matrix failed to be isometric")
+    u.flags.writeable = False
     return u
 
 

@@ -8,7 +8,16 @@ loops.
 
 import numpy as np
 
-from choikit import BipartiteShape, Channel, KrausSet, channel_from_choi, channel_from_kraus
+from choikit import (
+    BipartiteShape,
+    Channel,
+    KrausSet,
+    channel_from_choi,
+    channel_from_kraus,
+    higher_rank,
+    superop_from_channel,
+)
+from choikit.matlin import DEFAULT_TOL, numeric_rank
 
 
 def crandn(rng, *shape):
@@ -123,3 +132,17 @@ def superop_by_probing(c: Channel):
 
 def kraus_apply(ops, rho):
     return sum(a @ rho @ a.conj().T for a in ops)
+
+
+def extremal_by_superop_gram(c: Channel, tol=DEFAULT_TOL) -> bool:
+    """Extremality of a CP trace-preserving channel through the n^2 x n^2
+    matrix ``E = (S† S)`` regrouped as ``E[(j,j'),(l,l')]``, with S the
+    superoperator: its rank is the dimension of span{ a_x† a_y } for any
+    Kraus family, to be compared with r^2 for r = higher_rank(c).  Reads
+    the block matrix only, never a Kraus family; preconditions unchecked.
+    """
+    n = c.shape.n
+    s = superop_from_channel(c)
+    gram = (s.conj().T @ s).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    r = higher_rank(c, tol)
+    return numeric_rank(np.linalg.eigvalsh(gram), tol) == r * r

@@ -20,6 +20,7 @@ from choikit.errors import (
 
 from helpers import (
     crandn,
+    extremal_by_superop_gram,
     kraus_apply,
     random_channel,
     random_cp_channel,
@@ -581,6 +582,48 @@ class TestExtremality:
         composed = ch.compose(ch.adjoint_channel(c), c)
         assert np.allclose(gram, composed.choi_mat, atol=1e-12)
 
+    @staticmethod
+    def _forbidden(*args, **kwargs):
+        raise AssertionError("not expected on this route")
+
+    @pytest.fixture
+    def eigvalsh_shapes(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        monkeypatch.setattr(ch, "superop_from_channel", self._forbidden)
+        return shapes
+
+    def test_kraus_form_takes_an_r_squared_gram(self, eigvalsh_shapes):
+        c = random_tp_channel(np.random.default_rng(53), 16, 16, 3)
+        assert ch.is_extremal_tp(c)
+        assert eigvalsh_shapes == [(9, 9)]
+
+    def test_dependent_members_take_the_minimal_family(self, eigvalsh_shapes):
+        # 15 mixtures of two unitaries: rank 2, span{u† v} of dimension 3
+        rng = np.random.default_rng(57)
+        u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+        mix = random_isometry(rng, 15, 2) / np.sqrt(2)
+        c = ch.channel_from_kraus(ch.KrausSet(bp.BipartiteShape(4, 4), tuple(x * u + y * v for x, y in mix)))
+        assert c.factor.shape == (16, 15) and ch.higher_rank(c) == 2
+        assert not ch.is_extremal_tp(c)
+        assert eigvalsh_shapes == [(4, 4)]
+
+    def test_more_members_than_inputs_needs_no_eigensolver(self, monkeypatch):
+        k = random_tp_channel(np.random.default_rng(55), 16, 16, 17)
+        c = ch.channel_from_choi(k.choi_mat, k.shape)
+        assert ch.is_completely_positive(c)[0]  # the channel's one spectral analysis
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, self._forbidden)
+        monkeypatch.setattr(ch, "superop_from_channel", self._forbidden)
+        assert ch.higher_rank(c) == 17
+        assert ch.is_extremal_tp(c) is False
+
     def test_preconditions(self):
         with pytest.raises(NotCompletelyPositive):
             ch.is_extremal_tp(transpose_channel())
@@ -714,6 +757,41 @@ class TestImmutability:
         # members can still be extended as a tuple
         assert len(ch.KrausSet(k.shape, k.ops + (np.ones((3, 2)),))) == 3
 
+    @staticmethod
+    def _result_arrays():
+        from choikit import decomp
+
+        v = bp.BipartiteVector(S2, [0.8, 0.1, 0.2, 0.55])
+        k = random_tp_kraus(np.random.default_rng(6), 2, 2, 2)
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        mixed = ch.KrausSet(S2, tuple((hadamard @ k.stack).reshape(2, 2, 2)))
+        schmidt = decomp.schmidt(v)
+        one, two = decomp.one_sided_triangular(v), decomp.two_sided_triangular(v)
+        positivity = ch.check_positive_preserving(
+            ch.channel_from_choi(-bell_projector(2), S2), samples=200, seed=1
+        )
+        return {
+            "SchmidtForm.coefficients": schmidt.coefficients,
+            "SchmidtForm.left_basis": schmidt.left_basis,
+            "SchmidtForm.right_basis": schmidt.right_basis,
+            "TriangularForm(qr).basis_left": one.basis_left,
+            "TriangularForm(qr).coefficients": one.coefficients,
+            "TriangularForm(schur).basis_left": two.basis_left,
+            "TriangularForm(schur).coefficients": two.coefficients,
+            "TriangularForm(schur).basis_right": two.basis_right,
+            "Dilation.gram": decomp.dilate(k).gram,
+            "KrausIsometry.matrix": decomp.find_kraus_isometry(mixed, k).matrix,
+            "EntanglementClass.coefficients": alg.classify_entanglement(v).coefficients,
+            "PositivityVerdict.witness_psi": positivity.witness_psi,
+            "PositivityVerdict.witness_phi": positivity.witness_phi,
+        }
+
+    def test_result_arrays_are_read_only(self):
+        for name, arr in self._result_arrays().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 9.0
+
     def test_channel_is_its_block_matrix_alone(self):
         op = bp.BipartiteOperator(bp.BipartiteShape(3, 2), np.eye(6))
         assert ch.Channel(op).shape is op.shape
@@ -808,6 +886,17 @@ class TestSharedSpectrum:
             ch.Channel(c.choi, factor=np.ones((9, 2)))
 
 
+def _boundary_tp_family(rng, shape, ops, band):
+    """``ops`` plus one member whose weight sits a factor ``band`` off the
+    rank threshold (inside the band for 0.5, just over it for 2.0), made
+    trace preserving again."""
+    norm_s = np.linalg.norm(ch.channel_from_kraus(ch.KrausSet(shape, ops)).choi_mat)
+    extra = crandn(rng, shape.m, shape.n)
+    ops += (np.sqrt(band * ml.DEFAULT_TOL.threshold(norm_s)) * extra / np.linalg.norm(extra),)
+    w, u = np.linalg.eigh(sum(op.conj().T @ op for op in ops))
+    return tuple(op @ (u / np.sqrt(w)) @ u.conj().T for op in ops)
+
+
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)
 @given(
     m=st.integers(8, 16),
@@ -819,21 +908,48 @@ class TestSharedSpectrum:
 def test_factor_and_eigh_routes_give_one_verdict(m, n, r, band, seed):
     rng = np.random.default_rng(seed)
     shape = bp.BipartiteShape(m, n)
+    r = max(r, -(-n // m))  # a trace-preserving family needs r*m >= n
     ops = random_tp_kraus(rng, m, n, r).ops
     if band is not None:
-        # one more member, its weight a factor `band` off the rank threshold
-        # (just under it for 0.5, so inside the band; just over it for 2.0)
-        norm_s = np.linalg.norm(ch.channel_from_kraus(ch.KrausSet(shape, ops)).choi_mat)
-        extra = crandn(rng, m, n)
-        ops += (np.sqrt(band * ml.DEFAULT_TOL.threshold(norm_s)) * extra / np.linalg.norm(extra),)
-        w, u = np.linalg.eigh(sum(op.conj().T @ op for op in ops))
-        ops = tuple(op @ (u / np.sqrt(w)) @ u.conj().T for op in ops)  # trace preserving again
+        ops = _boundary_tp_family(rng, shape, ops, band)
     by_factor = ch.channel_from_kraus(ch.KrausSet(shape, ops))
     by_eigh = ch.channel_from_choi(by_factor.choi_mat, shape)
     verdict = ch.channel_verdict(by_factor)
     assert verdict == ch.channel_verdict(by_eigh)
     assert verdict.trace_preserving and verdict.extremal_tp is not None
     assert verdict.higher_rank == r + (band == 2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    m=st.integers(8, 16),
+    n=st.integers(8, 16),
+    r=st.sampled_from([1, 2, 3, 4, 5]),
+    commuting=st.booleans(),
+    band=st.sampled_from([None, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extremality_agrees_with_the_superoperator_gram(m, n, r, commuting, band, seed):
+    rng = np.random.default_rng(seed)
+    m, n = max(m, n), min(m, n)  # so every family below can be trace preserving
+    shape = bp.BipartiteShape(m, n)
+    if r == 5:
+        r = n + 1  # more members than the span can hold: never extremal
+    if commuting:
+        # equal mixtures of diagonal isometries span only diagonal products
+        ops = tuple(
+            np.eye(m, n) * np.exp(2j * np.pi * rng.uniform(size=n)) / np.sqrt(r) for _ in range(r)
+        )
+    else:
+        ops = random_tp_kraus(rng, m, n, r).ops
+    if band is not None:
+        ops = _boundary_tp_family(rng, shape, ops, band)
+    by_factor = ch.channel_from_kraus(ch.KrausSet(shape, ops))
+    by_eigh = ch.channel_from_choi(by_factor.choi_mat, shape)
+    expected = extremal_by_superop_gram(by_eigh)
+    assert ch.is_extremal_tp(by_factor) == ch.is_extremal_tp(by_eigh) == expected
+    assert ch.higher_rank(by_eigh) == len(ch.kraus_from_channel(by_eigh))
+    assert ch.higher_rank(by_factor) == ch.higher_rank(by_eigh)
 
 
 class TestVerdict:

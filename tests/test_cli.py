@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from choikit import bipartite as bp
 from choikit import channel as ch
 from choikit import errors
-from choikit.cli import _EXIT_CODES, main, matrix_doc, parse_channel, parse_matrix, render_document
+from choikit.cli import _EXIT_CODES, _need, main, matrix_doc, parse_channel, parse_matrix, render_document
 from choikit.errors import ParseError
 
 from helpers import crandn, random_cp_channel
@@ -432,6 +432,110 @@ def test_exit_table_maps_every_error_class():
     for cls in classes:
         if cls is not errors.ChoikitError:
             assert sum(issubclass(cls, kinds) for kinds, _, _ in _EXIT_CODES) == 1, cls
+
+
+# ---------------------------------------------------- bulk parse equivalence
+
+
+def _parse_matrix_entry_by_entry(doc, ctx):
+    """The matrix parser as it was before the bulk route: every entry
+    checked and converted on its own.  The reference for parse_matrix."""
+    rows = _need(doc, "rows", int, ctx)
+    cols = _need(doc, "cols", int, ctx)
+    data = _need(doc, "data", list, ctx)
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{ctx}: rows and cols must be positive")
+    if len(data) != rows * cols:
+        raise ParseError(f"{ctx}: expected {rows * cols} entries, found {len(data)}")
+    out = np.empty(rows * cols, dtype=complex)
+    for i, pair in enumerate(data):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
+        ):
+            raise ParseError(f"{ctx}: entry {i} must be a [re, im] pair of numbers")
+        if not (abs(pair[0]) <= sys.float_info.max and abs(pair[1]) <= sys.float_info.max):
+            raise ParseError(f"{ctx}: entry {i} is not a finite double")
+        out[i] = complex(pair[0], pair[1])
+    return out.reshape(rows, cols)
+
+
+def _parse_outcome(parse, data, rows, cols):
+    try:
+        mat = parse({"rows": rows, "cols": cols, "data": data}, "doc")
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return mat.shape, mat.dtype, mat.tobytes()
+
+
+_FLOAT_MAX = sys.float_info.max
+# -0.0, the smallest subnormal, large doubles and ints a double cannot hold exactly
+_EDGE_NUMBERS = [
+    -0.0, 5e-324, -5e-324, 1e308, -1e308, _FLOAT_MAX, -_FLOAT_MAX, int(_FLOAT_MAX), 2**53, 2**53 + 1,
+    -(2**53) - 1, 2**63 + 1, 2**64 - 1, 3**100, 0, 1,
+]
+_GOOD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(_EDGE_NUMBERS),
+)
+_BAD_NUMBERS = [
+    True, False, "1", None, {"re": 1}, [1.0], float("nan"), float("inf"), -float("inf"),
+    10**400, -(10**400), int(_FLOAT_MAX) + 1, 2**1024,
+]
+_BAD_ENTRIES = [{"re": 1.0, "im": 0.0}, "1, 0", 3.0, None, True, [], [1.0], [1.0, 2.0, 3.0]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(
+    good=st.lists(st.lists(_GOOD_NUMBERS, min_size=2, max_size=2), min_size=1, max_size=12),
+    bad=st.lists(
+        st.tuples(
+            st.integers(0, 12),
+            st.one_of(
+                st.sampled_from(_BAD_ENTRIES),
+                st.tuples(_GOOD_NUMBERS, st.sampled_from(_BAD_NUMBERS)).map(list),
+                st.tuples(st.sampled_from(_BAD_NUMBERS), _GOOD_NUMBERS).map(list),
+            ),
+        ),
+        max_size=3,
+    ),
+    column=st.booleans(),
+)
+def test_bulk_parse_equals_the_entry_by_entry_parse(good, bad, column):
+    data = list(good)
+    for at, entry in bad:
+        data.insert(min(at, len(data)), entry)
+    rows, cols = (len(data), 1) if column else (1, len(data))
+    expected = _parse_outcome(_parse_matrix_entry_by_entry, data, rows, cols)
+    assert _parse_outcome(parse_matrix, data, rows, cols) == expected
+    assert (expected[0] == "ParseError") == bool(bad)
+
+
+@pytest.mark.parametrize(
+    "data, index",
+    [
+        ([[0, 0], [True, 0]], 1),
+        ([[0, 0], [0, "1"]], 1),
+        ([[None, 0], [0, 0]], 0),
+        ([[0, 0], {"re": 0, "im": 0}], 1),
+        ([[0, 0], [1.0]], 1),
+        ([[0, 0, 0], [1.0, 2.0]], 0),
+        ([[0, 0], [float("nan"), 0]], 1),
+        ([[0, float("inf")], [0, 0]], 0),
+        ([[0, 0], [0, -float("inf")]], 1),
+        ([[0, 0], [10**400, 0]], 1),
+        # rounds to the largest double without overflowing the conversion
+        ([[_FLOAT_MAX, 0], [0, -int(_FLOAT_MAX) - 1]], 1),
+        ([[0, 0], [1.0, 2.0], [0, 1e400], [True, 0], "x"], 2),
+        ([[0, 0], "x", [float("nan"), 0], [1.0]], 1),
+    ],
+)
+def test_bad_entries_raise_the_entry_by_entry_message(data, index):
+    expected = _parse_outcome(_parse_matrix_entry_by_entry, data, len(data), 1)
+    assert expected[0] == "ParseError" and f"doc: entry {index} " in expected[1]
+    assert _parse_outcome(parse_matrix, data, len(data), 1) == expected
 
 
 # ------------------------------------------------------------------ fuzzing
