@@ -132,10 +132,13 @@ class EntanglementClass:
     """
 
     kind: EntanglementKind
-    schmidt_rank: Optional[int]
     coefficients: Optional[np.ndarray]
 
     __eq__ = bp._value_eq
+
+    @property
+    def schmidt_rank(self) -> Optional[int]:
+        return None if self.coefficients is None else self.coefficients.size
 
 
 def classify_entanglement(
@@ -156,7 +159,7 @@ def classify_entanglement(
         if not ml._is_psd(w, tol):
             raise NotCompletelyPositive("operator input must be positive semidefinite")
         if ml.numeric_rank(w, tol) != 1:
-            return EntanglementClass(EntanglementKind.MIXED, None, None)
+            return EntanglementClass(EntanglementKind.MIXED, None)
         state = bp.BipartiteVector(state.shape, np.sqrt(w[0]) * vecs[:, 0])
     u, s, wb = ml.svd(bp.hat(state), tol)
     s.flags.writeable = False
@@ -172,7 +175,7 @@ def classify_entanglement(
             kind = EntanglementKind.TOTALLY_ENTANGLED
     else:
         kind = EntanglementKind.ENTANGLED
-    return EntanglementClass(kind, rank, s)
+    return EntanglementClass(kind, s)
 
 
 def schur_product_channels(a: Channel, b: Channel) -> Channel:

@@ -15,9 +15,10 @@ computations; no optimization is involved.  The predicate suite
 (Hermiticity preserving, complete positivity, trace preservation,
 unitality, factorizability, extremality) reads everything off ``s``,
 its spectrum from one analysis per tolerance (see :func:`_spectrum`).
-Extremality reads the minimal Kraus family that spectrum gives (see
-:func:`_factor`), so it costs no second analysis and never forms the
-superoperator.
+Extremality reads the minimal Kraus family that spectrum gives
+(:func:`kraus_from_channel`) and takes the rank of its products
+a_x† a_y (:func:`extremal_span_dimension`), so it costs no second
+analysis of ``s`` and never forms the superoperator.
 """
 
 from __future__ import annotations
@@ -153,18 +154,6 @@ def _spectrum(c: Channel, tol: Tolerance):
     return c._spectra[key]
 
 
-def _factor(c: Channel, tol: Tolerance) -> np.ndarray:
-    """The (m*n) x r matrix ``v[:, :r] * sqrt(w[:r])`` of the memoised
-    spectrum (w, v), r = higher_rank(c): ``s = A A†`` up to the Kraus
-    cut, its columns the vecs of a minimal Kraus family.  Not the
-    channel's ``factor``, whose members may be dependent and many more
-    than r.  Requires the block matrix to be Hermitian positive
-    semidefinite."""
-    w, v = _spectrum(c, tol)
-    r = ml.numeric_rank(w, tol)
-    return v[:, :r] * np.sqrt(w[:r])
-
-
 def channel_from_choi(mat, shape: bp.BipartiteShape) -> Channel:
     """Wrap an (m*n) x (m*n) matrix as a channel in block-matrix form."""
     return Channel(bp.BipartiteOperator(shape, mat))
@@ -190,15 +179,19 @@ def kraus_from_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     Requires the block matrix to be Hermitian positive semidefinite
     within tolerance; a negative eigenvalue beyond the threshold raises
     :class:`NotCompletelyPositive` carrying the witness eigenvector.
-    It keeps the first ``higher_rank(c)`` eigenpairs, so eigenvalues
+    Its members are the columns of ``v[:, :r] * sqrt(w[:r])`` for the
+    memoised spectrum (w, v) and r = ``higher_rank(c)``, never the
+    channel's ``factor``, whose members may be dependent.  So eigenvalues
     inside the tolerance band of :func:`matlin.numeric_rank` are dropped
     and the members are ordered by decreasing weight; a family is never
     empty, so the zero operation (rank 0) gets one zero operator.
     """
     _require_cp(c, tol, "block matrix is not positive semidefinite")
-    a = _factor(c, tol)
-    if a.shape[1] == 0:
+    w, v = _spectrum(c, tol)
+    r = ml.numeric_rank(w, tol)
+    if r == 0:
         return KrausSet(c.shape, (np.zeros((c.shape.m, c.shape.n)),))
+    a = v[:, :r] * np.sqrt(w[:r])
     return KrausSet(c.shape, tuple(a.T.reshape(-1, c.shape.m, c.shape.n)))
 
 
@@ -561,16 +554,14 @@ def is_isometric_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def extremal_span_dimension(k: KrausSet, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Dimension of span{ a_x† a_y } for a Kraus family.
-
-    For a minimal family of r operators the family is extremal among
-    trace-preserving operations exactly when this span has the full
-    dimension r^2.
+    """Dimension of span{ a_x† a_y } for a Kraus family: the numeric rank
+    (:func:`matlin.matrix_rank`) of the n^2 x r^2 matrix whose columns are
+    the vec(a_x† a_y).  A minimal family of r operators is extremal among
+    trace-preserving operations exactly when it is r^2.
     """
-    prods = np.stack(
-        [(x.conj().T @ y).reshape(-1) for x in k.ops for y in k.ops]
-    )
-    return ml.matrix_rank(prods, tol)
+    ops = k.stack.reshape(len(k), k.shape.m, k.shape.n)
+    p = np.einsum("xij,yil->jlxy", ops.conj(), ops).reshape(k.shape.n**2, -1)
+    return ml.matrix_rank(p, tol)
 
 
 def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -579,25 +570,20 @@ def is_extremal_tp(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     The operation is extremal iff span{ a_x† a_y } has the full dimension
     r^2, with r = higher_rank(c) and the a_x any Kraus family of it.  As
     the span lies in the n x n matrices, r > n is never extremal, and is
-    answered at once.  Otherwise the a_x are the r members of the minimal
-    family of :func:`_factor`, the columns of P are the r^2 vectors
-    vec(a_x† a_y), and the span's dimension is the numeric rank of the
-    r^2 x r^2 Gram matrix P† P.  Requires CP and trace preservation.
+    answered at once.  Otherwise the span is that of the minimal family
+    :func:`kraus_from_channel` reads off the memoised spectrum, and its
+    dimension is :func:`extremal_span_dimension`.  Requires CP and trace
+    preservation.
     """
     _require_cp(c, tol, "extremality is defined for completely positive operations")
     if not is_trace_preserving(c, tol):
         raise NotTracePreserving(
             "extremality is defined among trace-preserving operations"
         )
-    m, n = c.shape.m, c.shape.n
     r = higher_rank(c, tol)
-    if r > n:
+    if r > c.shape.n:
         return False
-    ops = _factor(c, tol).T.reshape(-1, m, n)
-    p = np.einsum("xij,yil->jlxy", ops.conj(), ops).reshape(n * n, -1)
-    with ml._linalg_guard():
-        w = np.linalg.eigvalsh(p.conj().T @ p)
-    return ml.numeric_rank(w, tol) == r * r
+    return extremal_span_dimension(kraus_from_channel(c, tol), tol) == r * r
 
 
 def adjoint_channel(c: Channel) -> Channel:

@@ -46,9 +46,12 @@ class SchmidtForm:
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
-    rank: int
 
     __eq__ = bp._value_eq
+
+    @property
+    def rank(self) -> int:
+        return self.coefficients.size
 
     def reconstruct(self) -> bp.BipartiteVector:
         mat = (self.left_basis * self.coefficients) @ self.right_basis.T
@@ -69,7 +72,6 @@ def schmidt(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtForm:
         coefficients=s,
         left_basis=u,
         right_basis=w,
-        rank=int(s.size),
     )
 
 

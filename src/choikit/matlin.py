@@ -218,6 +218,8 @@ def qr(a):
     with _linalg_guard():
         q, r = np.linalg.qr(a)
     d = np.diagonal(r).copy()
+    # d / |d| overflows for a subnormal d; scaling it by 2**64 is exact
+    d[np.abs(d) < np.finfo(float).tiny] *= 2.0**64
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     q = q * phases[np.newaxis, :]
     r = phases.conj()[:, np.newaxis] * r

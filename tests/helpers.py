@@ -140,6 +140,10 @@ def extremal_by_superop_gram(c: Channel, tol=DEFAULT_TOL) -> bool:
     superoperator: its rank is the dimension of span{ a_x† a_y } for any
     Kraus family, to be compared with r^2 for r = higher_rank(c).  Reads
     the block matrix only, never a Kraus family; preconditions unchecked.
+    E is a Gram matrix, so its eigenvalues are the squared singular values
+    of the products and fall below the rank threshold while those are
+    still above it: the reference is valid only away from the span
+    threshold, not at it.
     """
     n = c.shape.n
     s = superop_from_channel(c)

@@ -198,11 +198,29 @@ def test_criterion_06_extremality():
                     bp.BipartiteShape(n, n), (u / np.sqrt(2), v / np.sqrt(2))
                 )
             )
-    for k in cases:
+    # {I, Z}/sqrt(2) with its 4 x 2 isometry moved by eps * G and
+    # re-orthonormalised: at eps = 1e-6 the span is full, its smallest
+    # singular value 6.5e-7 against a threshold of 1.4e-9; at eps = 1e-12
+    # the two new directions fall below the threshold
+    boundary = {}
+    flip = np.vstack([np.eye(2), np.diag([1.0, -1.0])]) / np.sqrt(2)
+    for eps, full in ((1e-6, True), (1e-12, False)):
+        u, _, vh = np.linalg.svd(flip + eps * crandn(np.random.default_rng(1), 4, 2))
+        iso = u[:, :2] @ vh
+        boundary[len(cases)] = full
+        cases.append(ch.KrausSet(bp.BipartiteShape(2, 2), (iso[:2], iso[2:])))
+    for i, k in enumerate(cases):
         c = ch.channel_from_kraus(k)
         minimal = ch.kraus_from_channel(c)
         by_span = ch.extremal_span_dimension(minimal) == len(minimal) ** 2
         assert ch.is_extremal_tp(c) == by_span
+        assert ch.is_extremal_tp(ch.channel_from_choi(c.choi_mat, c.shape)) == by_span
+        assert ch.channel_verdict(c).extremal_tp == by_span
+        if i in boundary:
+            ops = np.array(minimal.ops)
+            prods = np.array([(x.conj().T @ y).ravel() for x in ops for y in ops])
+            sv = np.linalg.svd(prods, compute_uv=False)
+            assert (sv.min() > DEFAULT_TOL.threshold(np.linalg.norm(sv))) == by_span == boundary[i]
 
     for n in (2, 3):
         for _ in range(10):

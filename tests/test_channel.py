@@ -587,32 +587,35 @@ class TestExtremality:
         raise AssertionError("not expected on this route")
 
     @pytest.fixture
-    def eigvalsh_shapes(self, monkeypatch):
+    def svd_shapes(self, monkeypatch):
         shapes = []
-        eigvalsh = np.linalg.eigvalsh
+        svd = np.linalg.svd
 
         def recorded(a, *args, **kwargs):
             shapes.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
         monkeypatch.setattr(ch, "superop_from_channel", self._forbidden)
         return shapes
 
-    def test_kraus_form_takes_an_r_squared_gram(self, eigvalsh_shapes):
+    def test_kraus_form_takes_one_n_squared_by_r_squared_svd(self, svd_shapes):
         c = random_tp_channel(np.random.default_rng(53), 16, 16, 3)
+        assert ch.higher_rank(c) == 3  # the channel's one spectral analysis
+        svd_shapes.clear()
         assert ch.is_extremal_tp(c)
-        assert eigvalsh_shapes == [(9, 9)]
+        assert svd_shapes == [(256, 9)]
 
-    def test_dependent_members_take_the_minimal_family(self, eigvalsh_shapes):
+    def test_dependent_members_take_the_minimal_family(self, svd_shapes):
         # 15 mixtures of two unitaries: rank 2, span{u† v} of dimension 3
         rng = np.random.default_rng(57)
         u, v = random_unitary(rng, 4), random_unitary(rng, 4)
         mix = random_isometry(rng, 15, 2) / np.sqrt(2)
         c = ch.channel_from_kraus(ch.KrausSet(bp.BipartiteShape(4, 4), tuple(x * u + y * v for x, y in mix)))
         assert c.factor.shape == (16, 15) and ch.higher_rank(c) == 2
+        svd_shapes.clear()
         assert not ch.is_extremal_tp(c)
-        assert eigvalsh_shapes == [(4, 4)]
+        assert svd_shapes == [(16, 4)]
 
     def test_more_members_than_inputs_needs_no_eigensolver(self, monkeypatch):
         k = random_tp_channel(np.random.default_rng(55), 16, 16, 17)

@@ -147,6 +147,17 @@ class TestDecompose:
         r = parse_matrix(doc["coefficients"], "r")
         assert np.linalg.norm(q @ r - vec.reshape(3, 2)) < 1e-12
 
+    def test_qr_of_a_subnormal_diagonal_exits_0(self, capsys, tmp_path):
+        vec = np.zeros(12)
+        vec[-1] = 2.225073858507e-311
+        path = write_matrix(tmp_path, "v.json", vec[:, None])
+        code, out = run_cli(capsys, "decompose", path, "--method", "qr", "--cut", "4", "3")
+        assert code == 0
+        doc = json.loads(out)
+        q = parse_matrix(doc["basis_left"], "q")
+        r = parse_matrix(doc["coefficients"], "r")
+        assert np.array_equal(q @ r, vec.reshape(4, 3))
+
     def test_schur_on_rectangular_cut_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(9)
         path = write_matrix(tmp_path, "v.json", crandn(rng, 6)[:, None])

@@ -58,7 +58,7 @@ def _isometry_between_identity_families():
         (np.linalg, "svd", lambda: ml.matrix_rank(np.eye(2))),
         (np.linalg, "qr", lambda: ml.qr(np.eye(2))),
         (scipy.linalg, "schur", lambda: ml.schur(np.eye(2))),
-        (np.linalg, "eigvalsh", _extremality_of_identity),
+        (np.linalg, "svd", _extremality_of_identity),
         (np.linalg, "svd", lambda: alg.group_inverse(alg.group_identity(2))),
         (np.linalg, "svd", _isometry_between_identity_families),
     ],

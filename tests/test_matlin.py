@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choikit import matlin as ml
@@ -193,6 +193,7 @@ class TestQr:
             max_size=12,
         )
     )
+    @example([0.0] * 11 + [2.225073858507e-311])  # a subnormal diagonal entry of R
     def test_qr_reconstructs_arbitrary_real_input(self, entries):
         a = np.array(entries).reshape(4, 3)
         q, r = ml.qr(a)

@@ -1,6 +1,9 @@
-"""The package's top level: what it re-exports, what importing costs, and
-how its value types compare."""
+"""The package's top level: what it re-exports, what importing costs,
+which module owns the factorizations, and how its value types compare."""
 
+import ast
+import dataclasses
+import pathlib
 import subprocess
 import sys
 
@@ -30,6 +33,33 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, choikit.cli; print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def _linalg_uses(tree):
+    """Each ``linalg.<name>`` other than ``linalg.norm``, and each import
+    that names a linalg module, in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr != "norm":
+            base = node.value
+            if getattr(base, "attr", getattr(base, "id", None)) == "linalg":
+                yield f"line {node.lineno}: {ast.unparse(node)}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in name for name in names):
+                yield f"line {node.lineno}: {ast.unparse(node)}"
+
+
+def test_matlin_owns_every_factorization():
+    # eigensolvers, SVD, QR, inverses, solvers and Schur forms go through
+    # matlin, so one set of conventions and one rank rule hold everywhere
+    package = pathlib.Path(choikit.__file__).parent
+    found = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if path.name != "matlin.py"
+        and (uses := list(_linalg_uses(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert found == {}
 
 
 S2 = bipartite.BipartiteShape(2, 2)
@@ -69,3 +99,13 @@ def test_array_holding_values_compare_by_value(name):
     assert type(a).__name__ == name
     assert a == b and not a != b
     assert a != other and not a == other
+
+
+def test_schmidt_ranks_are_read_off_the_coefficients():
+    form = decomp.schmidt(_vector(0.0))
+    found = algebra.classify_entanglement(_vector(0.0))
+    assert form.rank == found.schmidt_rank == 2
+    one = form.coefficients[:1]
+    assert dataclasses.replace(form, coefficients=one).rank == 1
+    assert dataclasses.replace(found, coefficients=one).schmidt_rank == 1
+    assert dataclasses.replace(found, coefficients=None).schmidt_rank is None
