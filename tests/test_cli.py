@@ -227,6 +227,7 @@ class TestDiamondPptMeasure:
         doc = json.loads(out)
         assert doc["is_ppt"] is False
         assert abs(doc["min_eigenvalue"] + 0.5) < 1e-12
+        assert out == (GOLDEN / "ppt_bell_projector.json").read_text()
 
     def test_ppt_non_hermitian_exits_4(self, capsys, tmp_path):
         rng = np.random.default_rng(21)
