@@ -83,14 +83,15 @@ def polar_of_pure_channel(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL):
     j is the transpose of sqrt of the trace of vv† over the first factor,
     k the sqrt of the trace over the second; both are verified, failure
     raising :class:`NumericalFailure`.  Requires m >= n (u isometric).
+    The reduced states come from hat(v) itself, Tr_1(vv†) = hat(v)^T
+    conj(hat(v)) and Tr_2(vv†) = hat(v) hat(v)†, so the (mn) x (mn)
+    projector vv† is never formed.
     """
     a = bp.hat(v)
     u = ml.polar(a)
     j, k = u.conj().T @ a, a @ u.conj().T
-    proj = np.outer(v.data, v.data.conj())
-    op = bp.BipartiteOperator(v.shape, proj)
-    j_bridge = ml.sqrt_psd(bp.partial_trace_1(op), tol).T
-    k_bridge = ml.sqrt_psd(bp.partial_trace_2(op), tol)
+    j_bridge = ml.sqrt_psd(a.T @ a.conj(), tol).T
+    k_bridge = ml.sqrt_psd(a @ a.conj().T, tol)
     scale = max(ml.frobenius_norm(j), 1.0)
     if ml.frobenius_norm(j - j_bridge) > tol.threshold(scale) * 1e3:
         raise NumericalFailure("first reduced state does not match the right polar part")

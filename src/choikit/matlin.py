@@ -42,6 +42,7 @@ __all__ = [
     "numeric_rank",
     "matrix_rank",
     "hermitian_eig",
+    "hermitian_eigvals",
     "svd",
     "qr",
     "schur",
@@ -82,7 +83,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidValue("matrix entries must be finite")
     return m
 
@@ -170,6 +171,17 @@ def _fix_column_phases(u: np.ndarray):
     return (u.T * factors[:, np.newaxis]).T, factors
 
 
+def _hermitian_part(a, tol: Tolerance) -> np.ndarray:
+    """(a + a†) / 2 of a square matrix, or :class:`NotHermitian` when ``a``
+    deviates from its adjoint beyond tolerance."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
+    if frobenius_norm(a - a.conj().T) > tol.threshold(frobenius_norm(a)):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    return (a + a.conj().T) / 2.0
+
+
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
     """Eigensystem of a Hermitian matrix.
 
@@ -178,15 +190,24 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
     ``a ~= v @ diag(w) @ v†``.  Raises :class:`NotHermitian` when the
     input deviates from its adjoint beyond tolerance.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    if frobenius_norm(a - a.conj().T) > tol.threshold(frobenius_norm(a)):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    h = _hermitian_part(a, tol)
     with _linalg_guard():
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        w, v = np.linalg.eigh(h)
     order = np.argsort(w)[::-1]
     return w[order], _fix_column_phases(v[:, order])[0]
+
+
+def hermitian_eigvals(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, in decreasing order.
+
+    The spectrum of :func:`hermitian_eig` without the eigenvectors, under
+    the same Hermiticity check; it may differ from that one in the last
+    digits, since LAPACK computes values alone by another algorithm.
+    """
+    h = _hermitian_part(a, tol)
+    with _linalg_guard():
+        w = np.linalg.eigvalsh(h)
+    return w[::-1]
 
 
 def svd(a, tol: Tolerance = DEFAULT_TOL):

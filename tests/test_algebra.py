@@ -12,7 +12,17 @@ from choikit.errors import (
     SingularMatrix,
 )
 
-from helpers import crandn, random_cp_channel, random_unitary
+from helpers import (
+    crandn,
+    forbidden,
+    measurement_by_kron,
+    ppt_by_both_spectra,
+    random_cp_channel,
+    random_hermitian,
+    random_unitary,
+)
+
+SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 3), (5, 7), (8, 8)]
 
 
 def square_op(rng, n):
@@ -303,6 +313,36 @@ class TestPptTest:
         with pytest.raises(NotHermitian):
             alg.ppt_test(s)
 
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_matches_two_spectrum_reference(self, m, n):
+        # random Hermitian operators, then the same moved up the identity
+        # far enough that some are PPT and some sit near the edge
+        rng = np.random.default_rng(1000 + 10 * m + n)
+        for shift in (0.0, 0.5, 1.0, 2.0):
+            h = random_hermitian(rng, m * n)
+            s = bp.BipartiteOperator(
+                bp.BipartiteShape(m, n), h + shift * np.linalg.norm(h, 2) * np.eye(m * n)
+            )
+            got, want = alg.ppt_test(s), ppt_by_both_spectra(s)
+            assert (got.is_ppt, got.side) == (want.is_ppt, want.side)
+            scale = np.linalg.norm(s.mat)
+            assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * scale
+
+    def test_takes_one_spectrum_without_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        s = bp.BipartiteOperator(bp.BipartiteShape(3, 4), random_hermitian(rng, 12))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        alg.ppt_test(s)
+        assert calls == [(12, 12)]
+
 
 class TestStateAsMeasurement:
     def test_identity_block_reproduces_conjugated_effect(self):
@@ -328,3 +368,23 @@ class TestStateAsMeasurement:
         s = bp.BipartiteOperator(bp.BipartiteShape(2, 2), np.eye(4))
         with pytest.raises(DimensionMismatch):
             alg.state_as_measurement(s, np.eye(3))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_matches_kron_reference(self, m, n):
+        rng = np.random.default_rng(2000 + 10 * m + n)
+        for mat in (random_hermitian(rng, m * n), crandn(rng, m * n, m * n)):
+            s = bp.BipartiteOperator(bp.BipartiteShape(m, n), mat)
+            m_op = crandn(rng, n, n)
+            want = measurement_by_kron(s, m_op)
+            got = alg.state_as_measurement(s, m_op)
+            assert got.shape == (m, m)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.linalg.norm(want))
+
+    def test_forms_no_kronecker_product(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        s = bp.BipartiteOperator(bp.BipartiteShape(4, 3), random_hermitian(rng, 12))
+        m_op = crandn(rng, 3, 3)
+        want = measurement_by_kron(s, m_op)
+        monkeypatch.setattr(bp, "kron", forbidden)
+        monkeypatch.setattr(np, "kron", forbidden)
+        assert np.allclose(alg.state_as_measurement(s, m_op), want, atol=1e-12)

@@ -562,14 +562,13 @@ class TestExtremality:
         assert ch.extremal_span_dimension(k) == 4
 
     def test_gram_route_agrees_with_span_route(self):
+        # generic families sit far from the span threshold, where the
+        # superoperator Gram reference is valid
         rng = np.random.default_rng(45)
         for m, n in [(2, 2), (3, 3)]:
             for count in (1, 2, n + 1):
                 c = random_tp_channel(rng, m, n, count)
-                k = ch.kraus_from_channel(c)
-                by_gram = ch.is_extremal_tp(c)
-                by_span = ch.extremal_span_dimension(k) == len(k) ** 2
-                assert by_gram == by_span
+                assert ch.is_extremal_tp(c) == extremal_by_superop_gram(c) == (count <= n)
 
     def test_gram_matrix_is_block_form_of_adjoint_composition(self):
         # E[(j,j'),(l,l')] = sum_ik conj(s[(i,j),(k,l)]) s[(i,j'),(k,l')]

@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 from choikit import bipartite as bp
 from choikit import channel as ch
 from choikit import decomp
-from choikit.errors import DifferentChannels, DimensionMismatch
+from choikit import matlin as ml
+from choikit.errors import DifferentChannels, DimensionMismatch, NumericalFailure
 
 from helpers import (
     char_poly_eigvals,
     crandn,
+    forbidden,
     kraus_apply,
     multiset_distance,
     random_isometry,
     random_kraus,
     random_tp_kraus,
+    random_unitary,
 )
 
 
@@ -84,6 +87,23 @@ class TestPolarOfPureChannel:
         rng = np.random.default_rng(12)
         with pytest.raises(DimensionMismatch):
             decomp.polar_of_pure_channel(random_vec(rng, 2, 3))
+
+    def test_forms_no_projector(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        v = random_vec(rng, 4, 3)
+        monkeypatch.setattr(np, "outer", forbidden)
+        u, j, k = decomp.polar_of_pure_channel(v)
+        assert np.allclose(u @ j, bp.hat(v), atol=1e-11)
+
+    def test_reduced_states_catch_a_wrong_polar_factor(self, monkeypatch):
+        # a rotated isometry still has orthonormal columns, but its j and k
+        # are no longer the square roots of the reduced states
+        rng = np.random.default_rng(15)
+        v = random_vec(rng, 3, 3)
+        polar = ml.polar
+        monkeypatch.setattr(ml, "polar", lambda a: polar(a) @ random_unitary(rng, 3))
+        with pytest.raises(NumericalFailure):
+            decomp.polar_of_pure_channel(v)
 
 
 class TestTriangularForms:

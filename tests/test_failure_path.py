@@ -53,6 +53,8 @@ def _isometry_between_identity_families():
     "module, name, call",
     [
         (np.linalg, "eigh", lambda: ml.hermitian_eig(np.eye(2))),
+        (np.linalg, "eigvalsh", lambda: ml.hermitian_eigvals(np.eye(2))),
+        (np.linalg, "eigvalsh", lambda: alg.ppt_test(alg.group_identity(2).op)),
         (np.linalg, "svd", lambda: ml.svd(np.eye(2))),
         (np.linalg, "svd", lambda: ml.polar(np.eye(2))),
         (np.linalg, "svd", lambda: ml.matrix_rank(np.eye(2))),
@@ -64,6 +66,8 @@ def _isometry_between_identity_families():
     ],
     ids=[
         "hermitian_eig",
+        "hermitian_eigvals",
+        "ppt_test",
         "svd",
         "polar",
         "matrix_rank",

@@ -98,6 +98,19 @@ class TestHermitianEig:
             w, _ = ml.hermitian_eig(h)
             assert multiset_distance(w, char_poly_eigvals(h)) < 1e-8
 
+    def test_values_alone_match_the_eigensystem(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 3, 8):
+            h = random_hermitian(rng, d)
+            w = ml.hermitian_eigvals(h)
+            assert np.all(np.diff(w) <= 0.0)
+            assert np.allclose(w, ml.hermitian_eig(h)[0], rtol=0.0, atol=1e-12 * np.linalg.norm(h))
+            assert multiset_distance(w, char_poly_eigvals(h)) < 1e-8
+        with pytest.raises(NotHermitian):
+            ml.hermitian_eigvals(JORDAN)
+        with pytest.raises(DimensionMismatch):
+            ml.hermitian_eigvals(np.ones((2, 3)))
+
     def test_phase_fix_leading_component_real_nonnegative(self):
         rng = np.random.default_rng(13)
         a = crandn(rng, 5, 5)
