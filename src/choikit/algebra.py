@@ -103,10 +103,13 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     group identity.  Mixed or degenerate inputs raise
     :class:`NotTotallyEntangled`.
     """
-    w, vecs = ml.hermitian_eig(s.mat, tol)
+    w = ml.hermitian_eigvals(s.mat, tol)
     if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
         raise NotTotallyEntangled("state is not a rank-one projector")
-    a = np.sqrt(w[0]) * vecs[:, 0].reshape(s.n, s.n)
+    # for s = u u†, the column of the largest diagonal entry is u times
+    # conj(u_j) / |u_j|, and the phase drops out of the returned projector
+    j = int(np.argmax(s.mat.diagonal().real))
+    a = (s.mat[:, j] / np.sqrt(s.mat[j, j].real)).reshape(s.n, s.n)
     u, sv, wv = ml.svd(a, tol)
     if sv.size < s.n:
         raise NotTotallyEntangled("matrix form of the state is singular")

@@ -328,6 +328,35 @@ def _screen_values(ops: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndar
     return f
 
 
+_held_draws = None  # (key, psi, phi) of the last set :func:`_draws` drew
+
+
+def _draws(seed: int, samples: int, n: int, m: int):
+    """The positivity search's pairs: ``samples`` unit psi in C^n and phi
+    in C^m from ``numpy.random.default_rng(seed)``, in the order that
+    :func:`check_positive_preserving` describes.
+
+    They depend on these four arguments alone, so the last set is kept,
+    read-only, and returned again for the same four.  On any other call
+    the kept set is dropped before the new one is drawn, so no call holds
+    two sets at once.
+    """
+    global _held_draws
+    key = (seed, samples, n, m)
+    held = _held_draws  # read once: a concurrent call may replace it
+    if held is not None and held[0] == key:
+        return held[1], held[2]
+    _held_draws = held = None
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    psi.flags.writeable = phi.flags.writeable = False
+    _held_draws = (key, psi, phi)
+    return psi, phi
+
+
 def check_positive_preserving(
     c: Channel,
     tol: Tolerance = DEFAULT_TOL,
@@ -342,19 +371,23 @@ def check_positive_preserving(
     (each of shape ``(samples, dim)``).  Reports the minimum of
     ``<phi| F(psi psi†) |phi>`` and the first violating pair, if any:
     the first value below ``-thr``, ``thr = tol.threshold(|s|_F)``.
+    The pairs are a function of ``(seed, samples, n, m)`` alone, never of
+    the channel, so the last set drawn is kept read-only for the next call
+    with the same four; the witnesses are copies of it.
 
     The pairs are evaluated in near-equal chunks of at most 1024, so
     beyond the draws (``samples * (n + m)`` complex numbers) memory stays
     at one chunk's ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The
     values are the bytes of evaluating all pairs in one batch.
-    ``samples`` runs from 1 to :data:`MAX_SAMPLES`, else
-    :class:`InvalidValue`.
+    ``samples`` runs from 1 to :data:`MAX_SAMPLES` and ``seed`` is a
+    non-negative integer, else :class:`InvalidValue`.
 
-    A channel with a factor A of r < m*n columns (:class:`Channel`) is
-    screened first, and only the chunks holding a pair that the screen
-    cannot rule out go through the superoperator.  The screen value
-    ``f = sum_x |phi† a_x psi|^2`` costs r*m*n per pair against (m*n)^2,
-    and f >= 0 as computed.  Its distance from the computed value v
+    A channel with a factor A of r columns (:class:`Channel`) with
+    4*r <= m*n is screened first, and only the chunks holding a pair that
+    the screen cannot rule out go through the superoperator.  The screen
+    value ``f = sum_x |phi† a_x psi|^2`` costs r*m*n per pair against
+    (m*n)^2, but in r passes over the pairs, so a wider family is not
+    screened; f >= 0 as computed.  Its distance from the computed value v
     follows from the standard forward-error bounds: a complex inner
     product of length k is within ``sqrt(2)*gamma_(k+2) |x|.|y|``, with
     ``gamma_k = k*u / (1 - k*u)``, u = eps/2 and eps the machine epsilon.
@@ -384,12 +417,10 @@ def check_positive_preserving(
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise InvalidValue(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidValue(f"seed must be a non-negative integer, got {seed!r}")
     m, n = c.shape.m, c.shape.n
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    psi, phi = _draws(seed, samples, n, m)
     st = superop_from_channel(c).T
     norm_s = ml.frobenius_norm(c.choi_mat)
     thr = tol.threshold(norm_s)
@@ -399,7 +430,9 @@ def check_positive_preserving(
     edges = [samples * i // k for i in range(k + 1)]
     chunks = list(zip(edges, edges[1:]))
     a = c.factor
-    if a is not None:
+    # measured at d = 8: r = 16 screens in 9.7 ms against 12.2 ms for all
+    # pairs, r = 32 in 16.5 ms against 11.6 ms
+    if a is not None and 4 * a.shape[1] <= m * n:
         # whole chunks, not single pairs: with threaded BLAS a product's
         # bytes can depend on its row count
         ops = a.T.reshape(-1, m, n)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from choikit.errors import (
 from helpers import (
     crandn,
     extremal_by_superop_gram,
+    forbidden,
     kraus_apply,
     random_channel,
     random_cp_channel,
@@ -287,7 +289,8 @@ def _assert_search_equals_one_batch(c, tols, samples, seed):
 
 
 def _search_peak(c, samples):
-    """Peak traced allocation of one positivity search."""
+    """Peak traced allocation of one positivity search, its draws included."""
+    ch._held_draws = None
     tracemalloc.start()
     try:
         ch.check_positive_preserving(c, samples=samples)
@@ -381,6 +384,78 @@ class TestScreenedPositivitySearch:
         c = ch.channel_from_kraus(ch.KrausSet(S2, tuple(np.array(p) / 2 for p in paulis)))
         _assert_search_equals_one_batch(c, self.TOLS, samples=3000, seed=1)
         assert sum(rows) == 2 * 3000
+
+    def test_screen_only_when_four_r_fits_in_mn(self, rows, monkeypatch):
+        rng = np.random.default_rng(4)
+        narrow, wide = random_cp_channel(rng, 8, 8, 16), random_cp_channel(rng, 8, 8, 32)
+        ch.check_positive_preserving(narrow, samples=10000)
+        assert rows == [1000]
+        rows.clear()
+        monkeypatch.setattr(ch, "_screen_values", forbidden)
+        ch.check_positive_preserving(wide, samples=10000)
+        assert sum(rows) == 10000
+
+
+class TestHeldDraws:
+    """The search's pairs depend on (seed, samples, n, m) alone, and the last
+    set drawn is kept for the next call with the same four."""
+
+    def test_interleaved_calls_equal_fresh_draws(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        d16 = bp.BipartiteShape(16, 16)
+        kraus16 = random_cp_channel(rng, 16, 16, 3)
+        calls = [
+            (ch.channel_from_choi(random_hermitian(rng, 256), d16), 2000, 1),
+            (kraus16, 2000, 1),
+            (ch.channel_from_choi(kraus16.choi_mat, d16), 2000, 1),
+            (kraus16, 1500, 1),
+            (kraus16, 1500, 2),
+            (ch.channel_from_choi(random_hermitian(rng, 64), bp.BipartiteShape(8, 8)), 1500, 2),
+            (ch.channel_from_choi(random_hermitian(rng, 6), bp.BipartiteShape(2, 3)), 1500, 2),
+            (ch.channel_from_choi(random_hermitian(rng, 256), d16), 2000, 1),
+        ]
+        fresh = []
+        for c, samples, seed in calls:
+            ch._held_draws = None
+            fresh.append(ch.check_positive_preserving(c, samples=samples, seed=seed))
+        assert any(v.outcome == "NotPositive" for v in fresh)
+        drawn = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            drawn.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        ch._held_draws = None
+        for (c, samples, seed), want in zip(calls, fresh):
+            assert ch.check_positive_preserving(c, samples=samples, seed=seed) == want
+        # the second and third calls, of another channel each, draw nothing
+        assert drawn == [1, 1, 2, 2, 2, 1]
+
+    def test_held_draws_are_read_only_and_never_returned(self):
+        c = ch.channel_from_choi(-bell_projector(2), S2)
+        v = ch.check_positive_preserving(c, samples=200, seed=1)
+        _, psi, phi = ch._held_draws
+        assert not psi.flags.writeable and not phi.flags.writeable
+        assert v.outcome == "NotPositive"
+        assert not np.shares_memory(v.witness_psi, psi)
+        assert not np.shares_memory(v.witness_phi, phi)
+
+    def test_old_set_is_dropped_before_the_next_is_drawn(self, monkeypatch):
+        c = transpose_channel()
+        ch.check_positive_preserving(c, samples=100, seed=0)
+        old = weakref.ref(ch._held_draws[1])
+        alive = []
+        default_rng = np.random.default_rng
+
+        def spied(seed):
+            alive.append(old() is not None)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spied)
+        ch.check_positive_preserving(c, samples=100, seed=1)
+        assert alive == [False]
 
 
 @settings(derandomize=True, deadline=None, max_examples=24, database=None)

@@ -16,7 +16,7 @@ from choikit import bipartite as bp
 from choikit import channel as ch
 from choikit import decomp
 from choikit import matlin as ml
-from choikit.errors import ConvergenceFailure
+from choikit.errors import ConvergenceFailure, InvalidValue
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "choikit"
 
@@ -85,6 +85,13 @@ def test_factorization_failure_is_a_convergence_failure(monkeypatch, module, nam
     monkeypatch.setattr(module, name, fail)
     with pytest.raises(ConvergenceFailure, match=f"{name} did not converge"):
         call()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, [1], "0", None, True])
+def test_seed_that_is_not_a_non_negative_integer_is_an_invalid_value(seed):
+    c = ch.channel_from_choi(np.eye(4), bp.BipartiteShape(2, 2))
+    with pytest.raises(InvalidValue, match="seed"):
+        ch.check_positive_preserving(c, seed=seed)
 
 
 def test_other_errors_pass_through_the_guard():
