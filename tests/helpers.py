@@ -4,7 +4,9 @@ The oracles intentionally avoid the code paths they are used to check:
 eigenvalues come from characteristic-polynomial roots, superoperators
 from explicit basis probing, partial operations from plain Python
 loops.  ``ppt_by_both_spectra`` and ``measurement_by_kron`` are the
-earlier, costlier forms of the routines they check, kept as references.
+earlier, costlier forms of the routines they check, and
+``diamond_by_reshuffle`` the earlier product of its own, kept as
+references.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from choikit import (
 )
 from choikit import bipartite as bp
 from choikit import matlin as ml
-from choikit.algebra import PPTVerdict
+from choikit.algebra import PPTVerdict, StateSquare
 from choikit.errors import NumericalFailure
 from choikit.matlin import DEFAULT_TOL, numeric_rank
 
@@ -184,3 +186,10 @@ def measurement_by_kron(s: BipartiteOperator, m_op):
     eye_m = np.eye(s.shape.m)
     sandwiched = bp.kron(eye_m, m_op) @ s.mat @ bp.kron(eye_m, m_op.conj().T)
     return bp.partial_trace_2(BipartiteOperator(s.shape, sandwiched))
+
+
+def diamond_by_reshuffle(a: StateSquare, b: StateSquare) -> np.ndarray:
+    """The diamond product as algebra computed it on its own: multiply the
+    reshuffled forms, then fold back."""
+    s = bp.reshuffle_hat(a.op) @ bp.reshuffle_hat(b.op)
+    return bp.unreshuffle_hat(s, a.op.shape).mat

@@ -14,6 +14,7 @@ from choikit.errors import (
 
 from helpers import (
     crandn,
+    diamond_by_reshuffle,
     forbidden,
     measurement_by_kron,
     ppt_by_both_spectra,
@@ -91,6 +92,12 @@ class TestDiamond:
         rng = np.random.default_rng(11)
         with pytest.raises(DimensionMismatch):
             alg.diamond(square_op(rng, 2), square_op(rng, 3))
+
+    def test_bytes_equal_the_reshuffle_product(self):
+        rng = np.random.default_rng(12)
+        for n in np.tile(np.arange(1, 9), 7)[:50]:
+            a, b = square_op(rng, n), square_op(rng, n)
+            assert np.array_equal(alg.diamond(a, b).mat, diamond_by_reshuffle(a, b))
 
 
 class TestGroup:

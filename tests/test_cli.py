@@ -212,6 +212,12 @@ class TestDiamondPptMeasure:
         got = parse_matrix(json.loads(out), "out")
         assert np.allclose(got, x_mat, atol=1e-13)
 
+    def test_diamond_bell_projector(self, capsys):
+        bell = str(ROOT / "data" / "states" / "bell_projector.json")
+        code, out = run_cli(capsys, "diamond", bell, bell)
+        assert code == 0
+        assert out == (GOLDEN / "diamond_bell_projector.json").read_text()
+
     def test_diamond_needs_square_square(self, capsys, tmp_path):
         rng = np.random.default_rng(19)
         a = write_matrix(tmp_path, "a.json", crandn(rng, 4, 4))
