@@ -1,24 +1,24 @@
 """Algebraic structure carried by states of a doubled system.
 
-Operators on ``C^n (x) C^n`` compose through their reshuffled
-(superoperator) forms; this "diamond" product makes them a semigroup
-whose identity element is the unnormalized maximally entangled
+The "diamond" product of operators on ``C^n (x) C^n`` is the composition
+of the operations they are the block matrices of (:func:`channel.compose`),
+a semigroup whose identity is the unnormalized maximally entangled
 projector.  Pure states with invertible matrix form are exactly the
-invertible elements, and ``phi: a -> vec(a) vec(a)†`` is a morphism
-from the invertible n x n matrices onto that group.
+invertible elements, and ``phi: a -> vec(a) vec(a)†`` is a morphism from
+the invertible n x n matrices onto that group.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import bipartite as bp
 from . import matlin as ml
-from .channel import Channel
+from .channel import Channel, compose
 from .errors import (
     DimensionMismatch,
     NotCompletelyPositive,
@@ -46,34 +46,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateSquare:
-    """Operator on C^n (x) C^n regarded as an element of the semigroup."""
+    """Operator on C^n (x) C^n as a semigroup element; n is checked against op, not stored."""
 
-    n: int
+    n: InitVar[int]
     op: bp.BipartiteOperator
 
-    def __post_init__(self):
-        if self.op.shape != bp.BipartiteShape(self.n, self.n):
-            raise DimensionMismatch(
-                f"operator lives on {self.op.shape}, expected ({self.n}, {self.n})"
-            )
+    def __post_init__(self, n):
+        if self.op.shape != bp.BipartiteShape(n, n):
+            raise DimensionMismatch(f"operator lives on {self.op.shape}, expected ({n}, {n})")
 
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
 
 
+def _pure(v: bp.BipartiteVector) -> StateSquare:
+    """The projector v v† of a vector on a square shape."""
+    return StateSquare(v.shape.n, bp.BipartiteOperator(v.shape, np.outer(v.data, v.data.conj())))
+
+
+def _pure_vector(s: bp.BipartiteOperator, tol: Tolerance):
+    """The eigenvalues of a Hermitian s, and u with s = u u† if s has rank one (else None):
+    the column of the largest diagonal entry is u times conj(u_j) / |u_j|, a phase
+    that drops out of every projector and Schmidt coefficient read from u."""
+    w = ml.hermitian_eigvals(s.mat, tol)
+    if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
+        return w, None
+    j = int(np.argmax(s.mat.diagonal().real))
+    return w, bp.BipartiteVector(s.shape, s.mat[:, j] / np.sqrt(s.mat[j, j].real))
+
+
 def diamond(a: StateSquare, b: StateSquare) -> StateSquare:
-    """Semigroup product: compose the reshuffled forms, then fold back."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"dimensions differ: {a.n} vs {b.n}")
-    s = bp.reshuffle_hat(a.op) @ bp.reshuffle_hat(b.op)
-    return StateSquare(a.n, bp.unreshuffle_hat(s, a.op.shape))
+    """Semigroup product: the block matrix of ``a``'s operation after ``b``'s."""
+    return StateSquare(a.op.shape.n, compose(Channel(a.op), Channel(b.op)).choi)
 
 
 def group_identity(n: int) -> StateSquare:
     """The diamond identity: the unnormalized projector beta beta†."""
-    beta = bp.canonical_bell(n).data
-    return StateSquare(n, bp.BipartiteOperator(bp.BipartiteShape(n, n), np.outer(beta, beta.conj())))
+    return _pure(bp.canonical_bell(n))
 
 
 def phi_homomorphism(a, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
@@ -90,8 +100,7 @@ def phi_homomorphism(a, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     n = a.shape[0]
     if n == 0 or ml.matrix_rank(a, tol) < n:
         raise SingularMatrix("matrix is singular within tolerance")
-    v = a.reshape(n * n)
-    return StateSquare(n, bp.BipartiteOperator(bp.BipartiteShape(n, n), np.outer(v, v.conj())))
+    return _pure(bp.unhat(a, bp.BipartiteShape(n, n)))
 
 
 def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
@@ -103,18 +112,13 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     group identity.  Mixed or degenerate inputs raise
     :class:`NotTotallyEntangled`.
     """
-    w = ml.hermitian_eigvals(s.mat, tol)
-    if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
+    _, v = _pure_vector(s.op, tol)
+    if v is None:
         raise NotTotallyEntangled("state is not a rank-one projector")
-    # for s = u u†, the column of the largest diagonal entry is u times
-    # conj(u_j) / |u_j|, and the phase drops out of the returned projector
-    j = int(np.argmax(s.mat.diagonal().real))
-    a = (s.mat[:, j] / np.sqrt(s.mat[j, j].real)).reshape(s.n, s.n)
-    u, sv, wv = ml.svd(a, tol)
-    if sv.size < s.n:
+    u, sv, wv = ml.svd(bp.hat(v), tol)
+    if sv.size < v.shape.n:
         raise NotTotallyEntangled("matrix form of the state is singular")
-    v = ((wv / sv) @ u.conj().T).reshape(s.n * s.n)
-    return StateSquare(s.n, bp.BipartiteOperator(s.op.shape, np.outer(v, v.conj())))
+    return _pure(bp.unhat((wv / sv) @ u.conj().T, v.shape))
 
 
 class EntanglementKind(enum.Enum):
@@ -153,16 +157,15 @@ def classify_entanglement(
     full Schmidt rank means totally entangled (the matrix form is
     invertible); equal coefficients on top of that means maximally
     entangled.  Operator inputs must be Hermitian positive semidefinite
-    (:class:`NotCompletelyPositive` otherwise); those of rank two or more
-    are reported as mixed.
+    (:class:`NotCompletelyPositive` otherwise); those of rank two or more are
+    mixed, and u u† is read as u from its eigenvalues and one column.
     """
     if isinstance(state, bp.BipartiteOperator):
-        w, vecs = ml.hermitian_eig(state.mat, tol)
+        w, state = _pure_vector(state, tol)
         if not ml._is_psd(w, tol):
             raise NotCompletelyPositive("operator input must be positive semidefinite")
-        if ml.numeric_rank(w, tol) != 1:
+        if state is None:
             return EntanglementClass(EntanglementKind.MIXED, None)
-        state = bp.BipartiteVector(state.shape, np.sqrt(w[0]) * vecs[:, 0])
     u, s, wb = ml.svd(bp.hat(state), tol)
     s.flags.writeable = False
     rank = int(s.size)

@@ -61,7 +61,6 @@ __all__ = [
     "is_trace_preserving",
     "six_tp_conditions",
     "is_unital",
-    "is_bistochastic",
     "is_factorizable",
     "higher_rank",
     "is_isometric_channel",
@@ -357,6 +356,10 @@ def _draws(seed: int, samples: int, n: int, m: int):
     return psi, phi
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_positive_preserving(
     c: Channel,
     tol: Tolerance = DEFAULT_TOL,
@@ -379,8 +382,8 @@ def check_positive_preserving(
     beyond the draws (``samples * (n + m)`` complex numbers) memory stays
     at one chunk's ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The
     values are the bytes of evaluating all pairs in one batch.
-    ``samples`` runs from 1 to :data:`MAX_SAMPLES` and ``seed`` is a
-    non-negative integer, else :class:`InvalidValue`.
+    ``samples`` is an integer from 1 to :data:`MAX_SAMPLES` and ``seed`` a
+    non-negative integer (``bool`` is neither), else :class:`InvalidValue`.
 
     A channel with a factor A of r columns (:class:`Channel`) with
     4*r <= m*n is screened first, and only the chunks holding a pair that
@@ -415,9 +418,9 @@ def check_positive_preserving(
     f < delta <= min f + 2*delta, as f >= 0.  A chunk is evaluated as it
     is without the screen, so every number reported keeps its bytes.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise InvalidValue(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
+        raise InvalidValue(f"samples must be an integer from 1 to {MAX_SAMPLES}, got {samples!r}")
+    if not _is_int(seed) or seed < 0:
         raise InvalidValue(f"seed must be a non-negative integer, got {seed!r}")
     m, n = c.shape.m, c.shape.n
     psi, phi = _draws(seed, samples, n, m)
@@ -528,11 +531,6 @@ def six_tp_conditions(c: Channel, tol: Tolerance = DEFAULT_TOL) -> TPConditions:
 def is_unital(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the operation sends id_n to id_m (second partial trace)."""
     return ml.nearly_equal(bp.partial_trace_2(c.choi), np.eye(c.shape.m), tol)
-
-
-def is_bistochastic(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Trace preserving and unital at once."""
-    return is_trace_preserving(c, tol) and is_unital(c, tol)
 
 
 def is_factorizable(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:

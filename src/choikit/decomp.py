@@ -54,8 +54,7 @@ class SchmidtForm:
         return self.coefficients.size
 
     def reconstruct(self) -> bp.BipartiteVector:
-        mat = (self.left_basis * self.coefficients) @ self.right_basis.T
-        return bp.BipartiteVector(self.shape, mat.reshape(-1))
+        return bp.unhat((self.left_basis * self.coefficients) @ self.right_basis.T, self.shape)
 
 
 def schmidt(v: bp.BipartiteVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtForm:

@@ -190,6 +190,16 @@ class TestClassification:
         got = alg.classify_entanglement(proj)
         assert got.kind is alg.EntanglementKind.MAXIMALLY_ENTANGLED
 
+    def test_rank_one_operator_needs_no_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        v = crandn(rng, 12)
+        proj = bp.BipartiteOperator(bp.BipartiteShape(3, 4), np.outer(v, v.conj()))
+        want = alg.classify_entanglement(bp.BipartiteVector(proj.shape, v))
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        got = alg.classify_entanglement(proj)
+        assert got.kind is want.kind is alg.EntanglementKind.ENTANGLED
+        assert np.allclose(got.coefficients, want.coefficients, rtol=1e-12)
+
     def test_mixed_operator(self):
         op = bp.BipartiteOperator(bp.BipartiteShape(2, 2), np.eye(4) / 4)
         got = alg.classify_entanglement(op)

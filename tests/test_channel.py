@@ -504,13 +504,13 @@ class TestTracePreservation:
         rng = np.random.default_rng(29)
         u = random_unitary(rng, 2)
         uc = ch.channel_from_kraus(ch.KrausSet(S2, (u,)))
-        assert ch.is_unital(uc) and ch.is_bistochastic(uc)
+        assert ch.is_unital(uc) and ch.channel_verdict(uc).bistochastic
         e00 = np.array([[1.0, 0.0], [0.0, 0.0]])
         e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
         reset = ch.channel_from_kraus(ch.KrausSet(S2, (e00, e01)))
         assert ch.is_trace_preserving(reset)
         assert not ch.is_unital(reset)
-        assert not ch.is_bistochastic(reset)
+        assert not ch.channel_verdict(reset).bistochastic
 
     def test_unital_matches_action_on_identity(self):
         rng = np.random.default_rng(31)

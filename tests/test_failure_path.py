@@ -94,6 +94,13 @@ def test_seed_that_is_not_a_non_negative_integer_is_an_invalid_value(seed):
         ch.check_positive_preserving(c, seed=seed)
 
 
+@pytest.mark.parametrize("samples", [0, 2.5, True, np.float64(3.0), "5", None, ch.MAX_SAMPLES + 1])
+def test_samples_that_is_not_a_count_in_range_is_an_invalid_value(samples):
+    c = ch.channel_from_choi(np.eye(4), bp.BipartiteShape(2, 2))
+    with pytest.raises(InvalidValue, match="samples"):
+        ch.check_positive_preserving(c, samples=samples)
+
+
 def test_other_errors_pass_through_the_guard():
     with pytest.raises(ZeroDivisionError):
         with ml._linalg_guard():

@@ -62,7 +62,26 @@ def test_matlin_owns_every_factorization():
     assert found == {}
 
 
+def test_only_bipartite_and_channel_reshuffle():
+    # the diamond product is channel.compose, so algebra has no reshuffle
+    package = pathlib.Path(choikit.__file__).parent
+    callers = {
+        path.name
+        for path in package.glob("*.py")
+        if any(f"{name}(" in path.read_text(encoding="utf-8") for name in ("reshuffle_hat", "unreshuffle_hat"))
+    }
+    assert callers == {"bipartite.py", "channel.py"}
+
+
 S2 = bipartite.BipartiteShape(2, 2)
+
+
+def test_a_state_square_stores_its_operator_alone():
+    assert [f.name for f in dataclasses.fields(algebra.StateSquare)] == ["op"]
+    op = bipartite.BipartiteOperator(S2, np.eye(4))
+    assert algebra.StateSquare(2, op).op is op
+    with pytest.raises(choikit.DimensionMismatch):
+        algebra.StateSquare(3, op)
 
 
 def _vector(eps):
