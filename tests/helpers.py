@@ -5,8 +5,8 @@ eigenvalues come from characteristic-polynomial roots, superoperators
 from explicit basis probing, partial operations from plain Python
 loops.  ``ppt_by_both_spectra`` and ``measurement_by_kron`` are the
 earlier, costlier forms of the routines they check, and
-``diamond_by_reshuffle`` the earlier product of its own, kept as
-references.
+``diamond_by_reshuffle`` is the diamond product written out apart from
+``channel.compose``; all three are kept as references.
 """
 
 import numpy as np
@@ -189,7 +189,7 @@ def measurement_by_kron(s: BipartiteOperator, m_op):
 
 
 def diamond_by_reshuffle(a: StateSquare, b: StateSquare) -> np.ndarray:
-    """The diamond product as algebra computed it on its own: multiply the
-    reshuffled forms, then fold back."""
+    """The diamond product without ``compose``: multiply the reshuffled
+    forms, then fold back."""
     s = bp.reshuffle_hat(a.op) @ bp.reshuffle_hat(b.op)
     return bp.unreshuffle_hat(s, a.op.shape).mat
