@@ -79,9 +79,11 @@ class Channel:
 
     ``shape`` is the block matrix's: ``m`` the output, ``n`` the input
     dimension.  The block matrix is read-only, so its spectral analysis is
-    kept here, one per tolerance.  ``factor`` is None, or the read-only
+    kept here, one per tolerance, and every predicate and the positivity
+    search's screen read it.  ``factor`` is None, or the read-only
     (m*n) x r matrix A with ``s = A A†`` and r < m*n that
-    :func:`channel_from_kraus` sets; the spectrum is then read off A.
+    :func:`channel_from_kraus` sets; :func:`_spectrum` alone reads it, to
+    take the spectrum off A.
     """
 
     choi: bp.BipartiteOperator
@@ -315,15 +317,17 @@ def _exact_values(st: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarra
     return np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
 
 
-def _screen_values(ops: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``sum_x |phi† a_x psi|^2`` for one batch of draws, from the Kraus
-    operators ``ops`` (r x m x n): the same values as :func:`_exact_values`
-    for ``rho -> sum_x a_x rho a_x†``, at r*m*n cost per pair."""
+def _screen_values(
+    ops: np.ndarray, weights: np.ndarray, psi: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """``sum_x weights[x] |phi† a_x psi|^2`` for one batch of draws, from
+    the operators ``ops`` (r x m x n) and one signed weight each: the value
+    of ``rho -> sum_x weights[x] a_x rho a_x†``, at r*m*n cost per pair."""
     f = np.zeros(psi.shape[0])
     bra = phi.conj()
-    for op in ops:
+    for op, weight in zip(ops, weights):
         y = np.einsum("si,si->s", bra, psi @ op.T)
-        f += y.real**2 + y.imag**2
+        f += weight * (y.real**2 + y.imag**2)
     return f
 
 
@@ -385,38 +389,62 @@ def check_positive_preserving(
     ``samples`` is an integer from 1 to :data:`MAX_SAMPLES` and ``seed`` a
     non-negative integer (``bool`` is neither), else :class:`InvalidValue`.
 
-    A channel with a factor A of r columns (:class:`Channel`) with
-    4*r <= m*n is screened first, and only the chunks holding a pair that
-    the screen cannot rule out go through the superoperator.  The screen
-    value ``f = sum_x |phi† a_x psi|^2`` costs r*m*n per pair against
-    (m*n)^2, but in r passes over the pairs, so a wider family is not
-    screened; f >= 0 as computed.  Its distance from the computed value v
-    follows from the standard forward-error bounds: a complex inner
-    product of length k is within ``sqrt(2)*gamma_(k+2) |x|.|y|``, with
-    ``gamma_k = k*u / (1 - k*u)``, u = eps/2 and eps the machine epsilon.
-    With ``|psi| = |phi| = 1``, ``|psi psi†|_F = 1``, ``|S|_F = |s|_F``
-    (S the superoperator) and ``sum_x |a_x|_F^2 = tr s``:
+    The search is screened through the spectrum (w, v) of s that the
+    predicates read (:func:`_spectrum`), so only the chunks holding a pair
+    the screen cannot settle go through the superoperator.  On the product
+    vector ``x = phi (x) conj(psi)`` the value is ``x† s x``.  With the
+    shift c the median of w (c = 0 when v has fewer columns than w: a
+    factor's spectrum stores no null vectors), K the indices with
+    ``|w_i - c| > thr`` and u_i the columns of v,
+
+        ``s = c*I + sum_(i in K) (w_i - c) u_i u_i† + E``.
+
+    When 4*|K| <= m*n every pair gets the screen value
+    ``f = c + sum_(i in K) (w_i - c) |phi† hat(u_i) psi|^2``, at |K|*m*n
+    cost per pair against (m*n)^2, but in |K| passes over the pairs, so a
+    wider K is not screened; nor is a channel off the Hermitian cone,
+    which has no spectrum.  E is formed once, in one (m*n)^2 buffer.
+    The distance of f from the computed value v follows from the standard
+    forward-error bounds: a complex inner product of length k is within
+    ``sqrt(2)*gamma_(k+2) |x|.|y|``, with ``gamma_k = k*u / (1 - k*u)``,
+    u = eps/2 and eps the machine epsilon.  With
+    ``|psi| = |phi| = |u_i| = 1``, ``|psi psi†|_F = 1``, ``|S|_F = |s|_F``
+    (S the superoperator) and ``D = sum_(i in K) |w_i - c|``:
 
     * v is within ``sqrt(2)*(gamma_2 + gamma_(n^2+2) + gamma_(m^2+4)) |s|_F
-      <= (m^2 + n^2 + 8)*eps*|s|_F`` of the true value for s, through the
-      projector, the product with S and the three-operand sum;
-    * f is within ``(2*sqrt(2)*(gamma_(m+2) + gamma_(n+2)) + gamma_(r+2)) tr s
-      <= (2*(m + n) + r + 8)*eps*tr s`` of the true value for A, through
-      a_x psi, phi† (a_x psi) and the sum of squares;
-    * the stored s is the rounded A A†, within
-      ``sqrt(2)*gamma_(r+2) tr s <= (r + 2)*eps*tr s`` of it in Frobenius
-      norm, so the two true values differ by no more.
+      <= (m^2 + n^2 + 8)*eps*|s|_F`` of ``x† s x``, through the projector,
+      the product with S and the three-operand sum;
+    * f is within ``(2*sqrt(2)*(gamma_(m+2) + gamma_(n+2)) + gamma_(|K|+3)) D
+      + gamma_|K| |c| <= (2*(m + n) + |K| + 8)*eps*D + |K|*eps*|c|`` of
+      ``c + sum_(i in K) (w_i - c) |u_i† x|^2``, through hat(u_i) psi,
+      phi† (hat(u_i) psi), the weighted square and the sum; ``|x|^2`` is 1
+      within ``(m + n + 8)*eps``, so that value is within as much times |c|
+      of ``c |x|^2 + ...``;
+    * the two true values differ by ``x† E x``, at most ``|E|_F |x|^2``.
+      E is formed as ``(s - P) - c*I``, P the product
+      ``sum_(i in K) (w_i - c) u_i u_i†``, within
+      ``sqrt(2)*gamma_(|K|+2) D + u*(|s|_F + D) <= (|K| + 3)*eps*D +
+      eps*|s|_F`` of its true value in Frobenius norm, and its norm e is
+      computed within ``(m^2 n^2 + 4)*eps/4`` relative, so with
+      ``rho = 1 + 2*(m^2 n^2 + 8)*eps`` the difference is at most rho*e
+      plus that forming error.
 
-    As r < mn, these add to at most 2N with ``N = m^2 + n^2 + r*(m + n) + 8``,
-    a quarter of ``delta = 8*N*eps*max(|s|_F, tr s)``; the rest covers
-    second-order terms, unit norms that hold only to rounding and the
-    rounding of the comparison below.  So ``|f - v| <= delta`` for every
-    pair, and a chunk is evaluated exactly when it holds a pair with
-    ``f <= min f + 2*delta``.  Any other pair has v > min f + delta, which
-    is at least v of the pair minimising f, so the minimum of v lies among
-    these pairs.  So does every violation: v < -thr <= 0 gives
-    f < delta <= min f + 2*delta, as f >= 0.  A chunk is evaluated as it
-    is without the screen, so every number reported keeps its bytes.
+    With ``sigma = max(|s|_F, |c| + D)`` and
+    ``N = m^2 + n^2 + (|K| + 2)*(m + n) + 8``, the eps terms add to at most
+    2N*eps*sigma, a quarter of the second term of
+    ``delta = rho*e + 8*N*eps*sigma``; the rest covers second-order terms,
+    unit norms that hold only to rounding and the rounding of the
+    comparisons below.  So ``|f - v| <= delta`` for every pair.  A chunk is
+    evaluated exactly when it holds a possible minimiser, a pair with
+    ``f <= min f + 2*delta``, or a possible violation, a pair with
+    ``f < -thr + delta``, at or before the first certain one, the first
+    pair with ``f < -thr - delta``.  A pair that is not a possible
+    minimiser has ``v > min f + delta``, which is at least v of the pair
+    minimising f, so the minimum of v lies among the evaluated pairs.  A
+    pair that is not a possible violation has ``v >= -thr``, and the first
+    certain one has ``v < -thr`` and is evaluated, so the first violation
+    lies among them too.  A chunk is evaluated as it is without the
+    screen, so every number reported keeps its bytes.
     """
     if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
         raise InvalidValue(f"samples must be an integer from 1 to {MAX_SAMPLES}, got {samples!r}")
@@ -424,7 +452,6 @@ def check_positive_preserving(
         raise InvalidValue(f"seed must be a non-negative integer, got {seed!r}")
     m, n = c.shape.m, c.shape.n
     psi, phi = _draws(seed, samples, n, m)
-    st = superop_from_channel(c).T
     norm_s = ml.frobenius_norm(c.choi_mat)
     thr = tol.threshold(norm_s)
     # with threaded BLAS a short product can round differently from a
@@ -432,18 +459,21 @@ def check_positive_preserving(
     k = -(-samples // _CHUNK)
     edges = [samples * i // k for i in range(k + 1)]
     chunks = list(zip(edges, edges[1:]))
-    a = c.factor
-    # measured at d = 8: r = 16 screens in 9.7 ms against 12.2 ms for all
-    # pairs, r = 32 in 16.5 ms against 11.6 ms
-    if a is not None and 4 * a.shape[1] <= m * n:
+    screen = _screen_form(c, tol, norm_s, thr)
+    if screen is not None:
         # whole chunks, not single pairs: with threaded BLAS a product's
         # bytes can depend on its row count
-        ops = a.T.reshape(-1, m, n)
-        f = np.concatenate([_screen_values(ops, psi[lo:hi], phi[lo:hi]) for lo, hi in chunks])
-        big_n = m * m + n * n + a.shape[1] * (m + n) + 8
-        delta = 8 * big_n * np.finfo(float).eps * max(norm_s, float(np.linalg.norm(a)) ** 2)
-        keep = f <= f.min() + 2 * delta
+        ops, weights, shift, delta = screen
+        f = shift + np.concatenate(
+            [_screen_values(ops, weights, psi[lo:hi], phi[lo:hi]) for lo, hi in chunks]
+        )
+        keep = f < -thr + delta
+        sure = np.flatnonzero(f < -thr - delta)
+        if sure.size:
+            keep[sure[0] + 1 :] = False
+        keep |= f <= f.min() + 2 * delta
         chunks = [(lo, hi) for lo, hi in chunks if keep[lo:hi].any()]
+    st = superop_from_channel(c).T
     vals = np.full(samples, np.inf)
     for lo, hi in chunks:
         vals[lo:hi] = _exact_values(st, psi[lo:hi], phi[lo:hi])
@@ -459,6 +489,36 @@ def check_positive_preserving(
         witness_psi=witness_psi,
         witness_phi=witness_phi,
     )
+
+
+def _screen_form(c: Channel, tol: Tolerance, norm_s: float, thr: float):
+    """``(ops, weights, c, delta)`` of the screen that
+    :func:`check_positive_preserving` describes: the hat(u_i) and the
+    w_i - c for i in K, the shift and the bound; None when the channel is
+    not screened."""
+    spec = _spectrum(c, tol)
+    if spec is None:
+        return None
+    w, v = spec
+    m, n, dim = c.shape.m, c.shape.n, w.size
+    # w is in decreasing order; np.median would hold 0.6 MB from its first call on
+    shift = (w[(dim - 1) // 2] + w[dim // 2]) / 2 if v.shape[1] == dim else 0.0
+    big = np.flatnonzero(np.abs(w - shift) > thr)
+    # measured at d = 8: 16 directions screen in 9.7 ms against 12.2 ms for
+    # all pairs, 32 in 16.5 ms against 11.6 ms
+    if 4 * big.size > dim:
+        return None
+    u = v[:, big]
+    weights = w[big] - shift
+    e = (u * weights) @ u.conj().T
+    np.subtract(c.choi_mat, e, out=e)
+    e.reshape(-1)[:: dim + 1] -= shift
+    eps = np.finfo(float).eps
+    rho = 1 + 2 * (dim * dim + 8) * eps
+    big_n = m * m + n * n + (big.size + 2) * (m + n) + 8
+    sigma = max(norm_s, abs(shift) + float(np.abs(weights).sum()))
+    delta = rho * float(np.linalg.norm(e)) + 8 * big_n * eps * sigma
+    return u.T.reshape(-1, m, n), weights, shift, delta
 
 
 def is_trace_preserving(c: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -4,9 +4,11 @@ The oracles intentionally avoid the code paths they are used to check:
 eigenvalues come from characteristic-polynomial roots, superoperators
 from explicit basis probing, partial operations from plain Python
 loops.  ``ppt_by_both_spectra`` and ``measurement_by_kron`` are the
-earlier, costlier forms of the routines they check, and
+earlier, costlier forms of the routines they check,
 ``diamond_by_reshuffle`` is the diamond product written out apart from
-``channel.compose``; all three are kept as references.
+``channel.compose``, and ``unscreened_search`` is the positivity search
+with every pair through the superoperator; all four are kept as
+references.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from choikit import (
     superop_from_channel,
 )
 from choikit import bipartite as bp
+from choikit import channel as ch
 from choikit import matlin as ml
 from choikit.algebra import PPTVerdict, StateSquare
 from choikit.errors import NumericalFailure
@@ -193,3 +196,37 @@ def diamond_by_reshuffle(a: StateSquare, b: StateSquare) -> np.ndarray:
     forms, then fold back."""
     s = bp.reshuffle_hat(a.op) @ bp.reshuffle_hat(b.op)
     return bp.unreshuffle_hat(s, a.op.shape).mat
+
+
+def unscreened_search(c: Channel, tol=DEFAULT_TOL, samples=10000, seed=0) -> ch.PositivityVerdict:
+    """The positivity search with no screen: the pairs drawn afresh in the
+    documented order and every chunk through ``channel._exact_values``, so
+    its numbers are the bytes the screened search must report."""
+    m, n = c.shape.m, c.shape.n
+    rng = np.random.default_rng(seed)
+    psi = crandn(rng, samples, n)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = crandn(rng, samples, m)
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    st = superop_from_channel(c).T
+    k = -(-samples // ch._CHUNK)
+    edges = [samples * i // k for i in range(k + 1)]
+    vals = np.concatenate([ch._exact_values(st, psi[lo:hi], phi[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
+    return ch.PositivityVerdict(
+        outcome="NotPositive" if bad.size else "NoViolationFound",
+        samples_used=samples,
+        min_value=float(vals.min()),
+        witness_psi=psi[bad[0]] if bad.size else None,
+        witness_phi=phi[bad[0]] if bad.size else None,
+    )
+
+
+def assert_same_search(got: ch.PositivityVerdict, want: ch.PositivityVerdict):
+    """Outcome, sample count, minimum and witnesses, byte for byte."""
+    assert (got.outcome, got.samples_used) == (want.outcome, want.samples_used)
+    assert np.float64(got.min_value).tobytes() == np.float64(want.min_value).tobytes()
+    for a, b in ((got.witness_psi, want.witness_psi), (got.witness_phi, want.witness_phi)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()

@@ -1,6 +1,7 @@
 import tracemalloc
 import weakref
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from choikit.errors import (
 )
 
 from helpers import (
+    assert_same_search,
     crandn,
     extremal_by_superop_gram,
     forbidden,
@@ -33,6 +35,7 @@ from helpers import (
     random_tp_kraus,
     random_unitary,
     superop_by_probing,
+    unscreened_search,
 )
 
 S2 = bp.BipartiteShape(2, 2)
@@ -53,6 +56,28 @@ def transpose_channel():
 def bell_projector(n):
     beta = bp.canonical_bell(n).data
     return np.outer(beta, beta.conj())
+
+
+def boundary_choi(rotated=True):
+    """d = 8 block matrix with one eigenvalue inside the negative tolerance
+    band, -5e-10, and the rest 1/8: diagonal, or in a random basis."""
+    d = 8
+    w = np.full(d * d, 1.0 / d)
+    w[-1] = -5e-10
+    if not rotated:
+        return np.diag(w).astype(complex)
+    u = random_unitary(np.random.default_rng(0), d * d)
+    return (u * w) @ u.conj().T
+
+
+def identity_minus_a_direction(rng, d):
+    """``I/d - 2 v v†`` with v the vec of a random signed permutation, so
+    |v|^2 = d: Hermitian preserving, not CP, full rank, and one eigenvalue
+    away from the rest."""
+    perm = np.zeros((d, d))
+    perm[np.arange(d), rng.permutation(d)] = rng.choice((-1.0, 1.0), size=d)
+    v = perm.reshape(-1)
+    return ch.channel_from_choi(np.eye(d * d) / d - 2.0 * np.outer(v, v), bp.BipartiteShape(d, d))
 
 
 class TestConstructionAndConversion:
@@ -338,16 +363,22 @@ class TestChunkedPositivitySearch:
     def test_screen_keeps_the_memory_bound(self):
         kraus = random_tp_channel(np.random.default_rng(2), 16, 16, 4)
         choi = ch.channel_from_choi(kraus.choi_mat, self.D16)
-        ch.check_positive_preserving(kraus, samples=2)
+        full = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), 256), self.D16)
+        for c in (kraus, choi, full):  # the spectra are taken here, not measured
+            ch.check_positive_preserving(c, samples=2)
         extra_draws = (8192 - 2048) * (16 + 16) * np.dtype(complex).itemsize
         assert _search_peak(kraus, 8192) - _search_peak(kraus, 2048) <= 2 * extra_draws
+        unscreened = _search_peak(full, 8192)
         # beyond the unscreened search's peak, only a few floats per pair
-        assert _search_peak(kraus, 8192) <= _search_peak(choi, 8192) + 3 * 8192 * 8
+        assert _search_peak(kraus, 8192) <= unscreened + 3 * 8192 * 8
+        # and at most the one (mn)^2 buffer of the remainder E
+        assert _search_peak(choi, 8192) <= unscreened + 256**2 * np.dtype(complex).itemsize
 
 
 class TestScreenedPositivitySearch:
-    """Kraus-form channels of r < mn members are screened through their
-    factor; the reported numbers stay those of the unscreened search."""
+    """Every channel whose spectrum is c*I plus at most mn/4 directions is
+    screened through that spectrum, in Kraus and in Choi form alike; the
+    reported numbers stay those of the unscreened search."""
 
     TOLS = (ml.DEFAULT_TOL, ml.Tolerance(abs=0.0, rel=0.0))  # the second flags any value < 0
 
@@ -367,11 +398,11 @@ class TestScreenedPositivitySearch:
         kraus = random_cp_channel(np.random.default_rng(9), 16, 16, 2)
         ch.check_positive_preserving(kraus, samples=10000)
         # one pair near the minimum, so one chunk of 1000 goes through the
-        # superoperator, against all of them for the same matrix in Choi form
+        # superoperator, and the same one for the same matrix in Choi form
         assert rows == [1000]
         rows.clear()
         ch.check_positive_preserving(ch.channel_from_choi(kraus.choi_mat, kraus.shape), samples=10000)
-        assert sum(rows) == 10000
+        assert rows == [1000]
 
     def test_one_candidate_keeps_its_bytes(self, rows):
         # one pair near the minimum, in the second of three chunks of 683 rows
@@ -382,8 +413,53 @@ class TestScreenedPositivitySearch:
     def test_full_rank_family_is_not_screened(self, rows):
         paulis = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
         c = ch.channel_from_kraus(ch.KrausSet(S2, tuple(np.array(p) / 2 for p in paulis)))
+        # s = I/2 has no direction apart from the shift: the screen is the
+        # constant 1/2, so every pair is a possible minimiser
         _assert_search_equals_one_batch(c, self.TOLS, samples=3000, seed=1)
         assert sum(rows) == 2 * 3000
+
+    def test_identity_minus_a_direction_takes_at_most_two_chunks(self, rows):
+        c = identity_minus_a_direction(np.random.default_rng(3), 16)
+        v = ch.check_positive_preserving(c, samples=10000)
+        # the first chunk holds the first certain violation, and the one
+        # holding the minimum of the screen is the only other kept
+        assert v.outcome == "NotPositive"
+        assert len(rows) <= 2 and set(rows) == {1000}
+        assert_same_search(v, unscreened_search(c))
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_boundary_matrix_takes_one_chunk(self, rows, rotated):
+        c = ch.channel_from_choi(boundary_choi(rotated), bp.BipartiteShape(8, 8))
+        v = ch.check_positive_preserving(c, samples=10000)
+        assert rows == [1000]
+        assert_same_search(v, unscreened_search(c))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_full_spread_matrix_is_not_screened(self, rows, monkeypatch, hermitian):
+        rng = np.random.default_rng(6)
+        mat = random_hermitian(rng, 64) if hermitian else crandn(rng, 64, 64)
+        c = ch.channel_from_choi(mat, bp.BipartiteShape(8, 8))
+        monkeypatch.setattr(ch, "_screen_values", forbidden)
+        v = ch.check_positive_preserving(c, samples=10000)
+        assert sum(rows) == 10000
+        assert_same_search(v, unscreened_search(c))
+
+    @pytest.mark.parametrize("r", [32, 48, 63])
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_wide_kraus_family_is_not_screened(self, rows, monkeypatch, r, equal):
+        # mn/2 <= r < mn: the factor's spectrum has r < mn vectors, so the
+        # shift is 0, even where the median eigenvalue is the members' weight
+        rng = np.random.default_rng(r)
+        if equal:
+            iso = random_isometry(rng, 64, r) / np.sqrt(r)
+            c = ch.channel_from_kraus(ch.KrausSet(bp.BipartiteShape(8, 8), tuple(iso.T.reshape(r, 8, 8))))
+        else:
+            c = random_cp_channel(rng, 8, 8, r)
+        assert c.factor is not None
+        monkeypatch.setattr(ch, "_screen_values", forbidden)
+        v = ch.check_positive_preserving(c, samples=10000)
+        assert sum(rows) == 10000
+        assert_same_search(v, unscreened_search(c))
 
     def test_screen_only_when_four_r_fits_in_mn(self, rows, monkeypatch):
         rng = np.random.default_rng(4)
@@ -473,6 +549,59 @@ def test_screened_search_equals_one_batch(m, n, r, tp, samples, seed):
     kraus = random_tp_kraus(rng, m, n, r) if tp and r * m >= n else random_kraus(rng, m, n, r)
     c = ch.channel_from_kraus(kraus)
     _assert_search_equals_one_batch(c, TestScreenedPositivitySearch.TOLS, samples, seed % 1000)
+
+
+@settings(derandomize=True, deadline=None, max_examples=48, database=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    directions=st.integers(0, 16),
+    shift=st.sampled_from(["zero", "one over mn", "random"]),
+    noise=st.sampled_from([0.0, 0.5, 2.0, "1e-6"]),
+    samples=st.sampled_from([1, 7, 1000, 1025, 2049, 3001]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_search_equals_the_unscreened_one(m, n, directions, shift, noise, samples, seed):
+    # s = c*I + a few signed directions + Hermitian noise, in Choi form
+    rng = np.random.default_rng(seed)
+    dim = m * n
+    k = min(directions, dim // 4)
+    u = random_isometry(rng, dim, k) if k else np.zeros((dim, 0))
+    c0 = {"zero": 0.0, "one over mn": 1.0 / dim, "random": rng.uniform(-1.0, 1.0) / dim}[shift]
+    s = c0 * np.eye(dim) + (u * rng.standard_normal(k) / dim) @ u.conj().T
+    s = (s + s.conj().T) / 2
+    scale = np.linalg.norm(s)
+    level = 1e-6 * scale if noise == "1e-6" else noise * ml.DEFAULT_TOL.threshold(scale)
+    if level:
+        h = random_hermitian(rng, dim)
+        s = s + level * h / np.linalg.norm(h)
+    c = ch.channel_from_choi(s, bp.BipartiteShape(m, n))
+    seed %= 1000
+    tols = [ml.DEFAULT_TOL, ml.Tolerance(abs=0.0, rel=0.0)]
+    low = unscreened_search(c, samples=samples, seed=seed).min_value
+    if low < 0:  # a threshold that about half the violations cross
+        tols.append(ml.Tolerance(abs=-low / 2, rel=0.0))
+    for tol in tols:
+        with mock.patch.object(ch, "_screen_values", wraps=ch._screen_values) as screen:
+            got = ch.check_positive_preserving(c, tol, samples=samples, seed=seed)
+        assert_same_search(got, unscreened_search(c, tol, samples=samples, seed=seed))
+        if tol is ml.DEFAULT_TOL and noise in (0.0, 0.5):
+            # every eigenvalue of the noisy c*I stays within thr of c
+            assert screen.called
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("form", ["rank-4 Choi", "identity minus a direction"])
+def test_screened_search_at_d32_equals_the_unscreened_one(form):
+    rng = np.random.default_rng(32)
+    if form == "rank-4 Choi":
+        c = ch.channel_from_choi(random_tp_channel(rng, 32, 32, 4).choi_mat, bp.BipartiteShape(32, 32))
+    else:
+        c = identity_minus_a_direction(rng, 32)
+    with mock.patch.object(ch, "_exact_values", wraps=ch._exact_values) as exact:
+        got = ch.check_positive_preserving(c)
+    assert exact.call_count <= 2  # of 10 chunks
+    assert_same_search(got, unscreened_search(c))
 
 
 class TestTracePreservation:
@@ -879,13 +1008,7 @@ class TestToleranceBoundary:
 
     @pytest.fixture
     def boundary(self):
-        # one Choi eigenvalue inside the negative tolerance band, the rest 1/8
-        d = 8
-        rng = np.random.default_rng(0)
-        u = random_unitary(rng, d * d)
-        w = np.full(d * d, 1.0 / d)
-        w[-1] = -5e-10
-        return (u * w) @ u.conj().T
+        return boundary_choi()
 
     def test_rank_kraus_count_and_verdict_agree(self, boundary):
         c = ch.channel_from_choi(boundary, self.D8)

@@ -45,6 +45,10 @@ def _extremality_of_identity():
     return ch.is_extremal_tp(ch.channel_from_kraus(_identity_kraus([1.0])))
 
 
+def _choi_of_identity():
+    return ch.channel_from_choi(ch.channel_from_kraus(_identity_kraus([1.0])).choi_mat, bp.BipartiteShape(2, 2))
+
+
 def _isometry_between_identity_families():
     return decomp.find_kraus_isometry(_identity_kraus([1.0]), _identity_kraus([0.5, 0.5]))
 
@@ -63,6 +67,7 @@ def _isometry_between_identity_families():
         (np.linalg, "svd", _extremality_of_identity),
         (np.linalg, "svd", lambda: alg.group_inverse(alg.group_identity(2))),
         (np.linalg, "svd", _isometry_between_identity_families),
+        (np.linalg, "eigh", lambda: ch.check_positive_preserving(_choi_of_identity())),
     ],
     ids=[
         "hermitian_eig",
@@ -76,6 +81,7 @@ def _isometry_between_identity_families():
         "is_extremal_tp",
         "group_inverse",
         "find_kraus_isometry-svd",
+        "check_positive_preserving-eigh",
     ],
 )
 def test_factorization_failure_is_a_convergence_failure(monkeypatch, module, name, call):
