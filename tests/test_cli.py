@@ -18,6 +18,7 @@ from helpers import crandn, random_cp_channel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "channels"
+STATES = ROOT / "data" / "states"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 BUNDLED = ["identity", "transpose", "dephasing", "depolarizing", "measure_reset"]
@@ -77,6 +78,14 @@ class TestGoldenReports:
         assert code == 0
         assert out == (GOLDEN / f"convert_{name}_{to}.json").read_text()
 
+    @pytest.mark.parametrize("method", ["schmidt", "qr", "schur"])
+    def test_decompose_bytes_match_golden(self, capsys, method):
+        code, out = run_cli(
+            capsys, "decompose", str(STATES / "bell_vector.json"), "--method", method, "--cut", "2", "2"
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"decompose_bell_vector_{method}.json").read_text()
+
     def test_classify_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "classify", str(DATA / "transpose.json"))
         _, second = run_cli(capsys, "classify", str(DATA / "transpose.json"))
@@ -124,7 +133,7 @@ class TestDecompose:
         code, out = run_cli(
             capsys,
             "decompose",
-            str(ROOT / "data" / "states" / "bell_vector.json"),
+            str(STATES / "bell_vector.json"),
             "--method",
             "schmidt",
             "--cut",
@@ -163,6 +172,31 @@ class TestDecompose:
         path = write_matrix(tmp_path, "v.json", crandn(rng, 6)[:, None])
         code, _ = run_cli(capsys, "decompose", path, "--method", "schur", "--cut", "3", "2")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1e308, 1e308, -1e308, 1e308], [5e-324] * 4, [1e-310, -1e-310, 1e-310, 1e-310], [0.0] * 4],
+        ids=["1e308", "5e-324", "1e-310", "zero"],
+    )
+    def test_schur_of_extreme_entries_exits_0_and_reconstructs(self, capsys, tmp_path, entries):
+        vec = np.array(entries)
+        path = write_matrix(tmp_path, "v.json", vec[:, None])
+        code, out = run_cli(capsys, "decompose", path, "--method", "schur", "--cut", "2", "2")
+        assert code == 0
+        doc = json.loads(out)
+        u = parse_matrix(doc["basis_left"], "u")
+        t = parse_matrix(doc["coefficients"], "t")
+        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
+        # compare at unit scale: 2**e is exact, and u t u† of entries near
+        # 1e308 would overflow; t's entries are rounded to multiples of
+        # 2**-1074 when they are subnormal, hence the absolute term
+        e = -np.frexp(np.abs(vec).max())[1] if vec.any() else 0
+
+        def scaled(x):
+            return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+
+        err = np.linalg.norm(u @ scaled(t) @ u.conj().T - scaled(vec.reshape(2, 2)))
+        assert err <= 1e-12 * np.linalg.norm(scaled(vec)) + 2 * np.ldexp(2.0**-1074, e)
 
     def test_wrong_vector_length_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(11)
@@ -319,7 +353,7 @@ class TestParsingAndExitCodes:
             ["classify", str(DATA / "identity.json"), "--samples", "1000001"],
             ["classify", str(DATA / "identity.json"), "--samples", "100000000000000000000"],
             ["classify", str(DATA / "identity.json"), "--tol-abs", "-1"],
-            ["decompose", str(ROOT / "data" / "states" / "bell_vector.json"),
+            ["decompose", str(STATES / "bell_vector.json"),
              "--method", "schmidt", "--cut", "-2", "-2"],
             ["classify", str(DATA / "identity.json"), "--out", "{tmp}/missing/dir/x.json"],
         ],
@@ -335,20 +369,19 @@ class TestParsingAndExitCodes:
         assert "choikit" in capsys.readouterr().err
 
 
-_STATES = ROOT / "data" / "states"
 _TOL_FLAGS = ["--tol-abs", "--tol-rel"]
 _SAMPLING_FLAGS = ["--seed", "--samples"]
 # a valid call of each command that does not read every flag, and the
 # flags it does not accept (classify accepts all five)
 _CALLS = {
     "convert": ([str(DATA / "identity.json"), "--to", "choi"], _SAMPLING_FLAGS),
-    "decompose": ([str(_STATES / "bell_vector.json"), "--method", "schmidt", "--cut", "2", "2"], _SAMPLING_FLAGS),
-    "ppt": ([str(_STATES / "bell_projector.json"), "--cut", "2", "2"], _SAMPLING_FLAGS),
+    "decompose": ([str(STATES / "bell_vector.json"), "--method", "schmidt", "--cut", "2", "2"], _SAMPLING_FLAGS),
+    "ppt": ([str(STATES / "bell_projector.json"), "--cut", "2", "2"], _SAMPLING_FLAGS),
     "compose": ([str(DATA / "identity.json")] * 2, _TOL_FLAGS + _SAMPLING_FLAGS),
-    "diamond": ([str(_STATES / "bell_projector.json")] * 2, _TOL_FLAGS + _SAMPLING_FLAGS),
-    "apply": ([str(DATA / "identity.json"), str(_STATES / "mixed_qubit.json")], _TOL_FLAGS + _SAMPLING_FLAGS),
+    "diamond": ([str(STATES / "bell_projector.json")] * 2, _TOL_FLAGS + _SAMPLING_FLAGS),
+    "apply": ([str(DATA / "identity.json"), str(STATES / "mixed_qubit.json")], _TOL_FLAGS + _SAMPLING_FLAGS),
     "measure": (
-        [str(_STATES / "bell_projector.json"), "--cut", "2", "2", "--m-op", str(_STATES / "mixed_qubit.json")],
+        [str(STATES / "bell_projector.json"), "--cut", "2", "2", "--m-op", str(STATES / "mixed_qubit.json")],
         _TOL_FLAGS + _SAMPLING_FLAGS,
     ),
 }
