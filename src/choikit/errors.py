@@ -19,7 +19,7 @@ class NotHermitian(ChoikitError):
 
 
 class ConvergenceFailure(ChoikitError):
-    """A numpy/scipy factorization failed to converge."""
+    """A numpy factorization failed to converge."""
 
 
 class NotCompletelyPositive(ChoikitError):

@@ -42,6 +42,11 @@ def random_unitary(rng, d):
     return q * (dg / np.abs(dg))[np.newaxis, :]
 
 
+def jordan_block(n, eigenvalue=0.0):
+    """n x n Jordan block: the eigenvalue on the diagonal, ones above it."""
+    return np.diag(np.full(n, eigenvalue, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+
+
 def random_isometry(rng, p, q):
     """p x q matrix with orthonormal columns, p >= q."""
     if p < q:

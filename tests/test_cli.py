@@ -190,7 +190,7 @@ class TestDecompose:
         # compare at unit scale: 2**e is exact, and u t u† of entries near
         # 1e308 would overflow; t's entries are rounded to multiples of
         # 2**-1074 when they are subnormal, hence the absolute term
-        e = -np.frexp(np.abs(vec).max())[1] if vec.any() else 0
+        e = -np.frexp(np.abs(vec).max())[1]
 
         def scaled(x):
             return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)

@@ -1,4 +1,4 @@
-"""One failure path: numpy/scipy errors become ChoikitErrors in one place.
+"""One failure path: numpy's linear-algebra errors become ChoikitErrors in one place.
 
 The source checks keep the translation from being copied back into the
 modules; the call checks make every guarded factorization fail as
@@ -9,7 +9,6 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from choikit import algebra as alg
 from choikit import bipartite as bp
@@ -17,6 +16,8 @@ from choikit import channel as ch
 from choikit import decomp
 from choikit import matlin as ml
 from choikit.errors import ConvergenceFailure, InvalidValue
+
+from helpers import jordan_block, random_unitary
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "choikit"
 
@@ -63,7 +64,7 @@ def _isometry_between_identity_families():
         (np.linalg, "svd", lambda: ml.polar(np.eye(2))),
         (np.linalg, "svd", lambda: ml.matrix_rank(np.eye(2))),
         (np.linalg, "qr", lambda: ml.qr(np.eye(2))),
-        (scipy.linalg, "schur", lambda: ml.schur(np.eye(2))),
+        (np.linalg, "eig", lambda: ml.schur(np.eye(2))),
         (np.linalg, "svd", _extremality_of_identity),
         (np.linalg, "svd", lambda: alg.group_inverse(alg.group_identity(2))),
         (np.linalg, "svd", _isometry_between_identity_families),
@@ -91,6 +92,24 @@ def test_factorization_failure_is_a_convergence_failure(monkeypatch, module, nam
     monkeypatch.setattr(module, name, fail)
     with pytest.raises(ConvergenceFailure, match=f"{name} did not converge"):
         call()
+
+
+def test_schur_deflation_failure_is_a_convergence_failure(monkeypatch):
+    # the first eig, of the whole rotated Jordan block, converges and fails
+    # the common path's bound; the deflation's first eig does not converge
+    eig, calls = np.linalg.eig, []
+
+    def fail_after_first(a):
+        calls.append(a.shape)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("eig did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", fail_after_first)
+    u = random_unitary(np.random.default_rng(53), 4)
+    with pytest.raises(ConvergenceFailure, match="eig did not converge"):
+        ml.schur(u @ jordan_block(4, 0.5) @ u.conj().T)
+    assert calls == [(4, 4), (4, 4)]
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, [1], "0", None, True])

@@ -14,7 +14,15 @@ from choikit.errors import (
     NumericalFailure,
 )
 
-from helpers import char_poly_eigvals, crandn, multiset_distance, random_hermitian
+from helpers import (
+    char_poly_eigvals,
+    crandn,
+    forbidden,
+    jordan_block,
+    multiset_distance,
+    random_hermitian,
+    random_unitary,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -238,6 +246,69 @@ class TestSchur:
         a = crandn(rng, 4, 4)
         _, t = ml.schur(a)
         assert multiset_distance(np.diagonal(t), char_poly_eigvals(a)) < 1e-8
+
+
+def _schur_cases():
+    """``(id, a, eigenvalues well conditioned)`` for sizes 1 to 64."""
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 4, 8, 16, 32, 64):
+        u = random_unitary(rng, n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        z = crandn(rng, n, n)
+        yield f"jordan-{n}", jordan_block(n), False
+        yield f"shifted-jordan-{n}", jordan_block(n, 1 - 2j), False
+        yield f"rotated-jordan-{n}", u @ jordan_block(n, 0.5) @ u.conj().T, False
+        yield f"nilpotent-{n}", u @ np.outer(x, y - x * (y @ x) / (x @ x)) @ u.conj().T, False
+        if n % 2 == 0:
+            yield f"jordan-2x2-blocks-{n}", u @ np.kron(np.eye(n // 2), jordan_block(2, 1.0)) @ u.conj().T, False
+        yield f"graded-rows-{n}", 10.0 ** -np.arange(n)[:, np.newaxis] * z, False
+        yield f"permutation-{n}", np.eye(n)[rng.permutation(n)], True
+        yield f"rank-one-{n}", np.outer(x, y), True
+        yield f"zero-{n}", np.zeros((n, n)), True
+        yield f"identity-{n}", np.eye(n), True
+        yield f"real-{n}", rng.standard_normal((n, n)), True
+        yield f"times-1e+300-{n}", 1e300 * z, True
+        yield f"times-1e-300-{n}", -1e-300 * z, True
+
+
+SCHUR_CASES = {name: (a, conditioned) for name, a, conditioned in _schur_cases()}
+
+
+class TestSchurProperties:
+    @pytest.mark.parametrize("name", SCHUR_CASES)
+    def test_unitary_triangular_and_backward_stable(self, name):
+        a, conditioned = SCHUR_CASES[name]
+        n = a.shape[0]
+        u, t = ml.schur(a)
+        # compared at unit scale, where the 2**e scaling is exact and no
+        # product overflows or goes subnormal
+        e = -int(np.frexp(np.abs(a).max())[1])
+        a_s, t_s = (np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e) for x in (a + 0j, t))
+        bound = 16 * n * np.finfo(float).eps
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= bound
+        assert np.linalg.norm(u @ t_s @ u.conj().T - a_s) <= bound * np.linalg.norm(a_s)
+        if conditioned:
+            assert multiset_distance(np.diagonal(t_s), np.linalg.eigvals(a_s)) <= 1e-12 * max(1.0, n)
+
+    def test_random_input_takes_one_eig_and_no_deflation(self, monkeypatch):
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        monkeypatch.setattr(ml, "_schur_by_deflation", forbidden)
+        rng = np.random.default_rng(47)
+        for n in (2, 4, 8, 16):
+            calls.clear()
+            ml.schur(crandn(rng, n, n))
+            assert calls == [(n, n)]
+
+    def test_rotated_jordan_block_takes_the_deflation(self, monkeypatch):
+        # the smallest Jordan block that falls back: at n <= 3 the common
+        # path's lower part stays within its bound
+        eig, calls = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        u = random_unitary(np.random.default_rng(53), 4)
+        ml.schur(u @ jordan_block(4, 0.5) @ u.conj().T)
+        assert calls == [(4, 4), (4, 4), (3, 3), (2, 2)]
 
 
 class TestPolar:

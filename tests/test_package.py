@@ -28,11 +28,14 @@ def test_only_the_tolerance_is_reexported_from_matlin():
     assert choikit.Tolerance is matlin.Tolerance and choikit.DEFAULT_TOL is matlin.DEFAULT_TOL
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by matlin.schur alone, on its first call
-    code = "import sys, choikit.cli; print('scipy' in sys.modules)"
+def test_schur_decomposition_loads_no_scipy(tmp_path):
+    # matlin.schur is numpy alone; scipy, 0.3 s and 27 MB to import, is no dependency
+    bell = pathlib.Path(__file__).resolve().parent.parent / "data" / "states" / "bell_vector.json"
+    argv = ["decompose", str(bell), "--method", "schur", "--cut", "2", "2", "--out", str(tmp_path / "out.json")]
+    code = f"import sys; from choikit import cli; cli.main({argv!r}); print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+    assert (tmp_path / "out.json").read_text().startswith('{\n  "method": "schur"')
 
 
 def _linalg_uses(tree):
