@@ -11,6 +11,7 @@ the invertible n x n matrices onto that group.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import InitVar, dataclass
 from typing import Optional, Union
 
@@ -62,18 +63,79 @@ class StateSquare:
 
 def _pure(v: bp.BipartiteVector) -> StateSquare:
     """The projector v v† of a vector on a square shape."""
-    return StateSquare(v.shape.n, bp.BipartiteOperator(v.shape, np.outer(v.data, v.data.conj())))
+    return StateSquare(v.shape.n, bp.BipartiteOperator._own(v.shape, ml._frozen(np.outer(v.data, v.data.conj()))))
 
 
 def _pure_vector(s: bp.BipartiteOperator, tol: Tolerance):
-    """The eigenvalues of a Hermitian s, and u with s = u u† if s has rank one (else None):
-    the column of the largest diagonal entry is u times conj(u_j) / |u_j|, a phase
-    that drops out of every projector and Schmidt coefficient read from u."""
-    w = ml.hermitian_eigvals(s.mat, tol)
+    """``(psd, u)``: whether the Hermitian s is positive semidefinite, and u
+    with s = u u† when s has rank one (else None), as the eigenvalues w of
+    :func:`matlin.hermitian_eigvals` decide them: rank one is
+    ``numeric_rank(w) == 1`` with ``w[0] > 0``, which makes s positive
+    semidefinite too.  u is the column of the largest diagonal entry
+    divided by its square root: u times conj(u_j) / |u_j|, a phase that
+    drops out of every projector and Schmidt coefficient read from u.
+
+    Rank one is certified without a spectrum when u shows it.  Let N be
+    the order of s, T(x) = ``tol.threshold(x)``, ``r = |s - u u†|_F`` and
+    eps the machine epsilon.  Then ``|s - s†|_F <= 2r``; the Hermitian
+    part h of s is within r of u u† and ``|h|_F >= |s|_F - r``.  By
+    Weyl's inequality the eigenvalues of h other than the largest lie
+    within r of 0, and the largest is at least ``|u|^2 - r``.  LAPACK's
+    eigenvalues are exact for h + E with ``|E|_F <= p(N)*eps*|h|_F``
+    (Householder reduction to tridiagonal form, then the tridiagonal QR
+    iteration), so by Hoffman-Wielandt each computed eigenvalue, and
+    their 2-norm, on which ``numeric_rank`` sets its threshold, move by at
+    most |E|_F.  The worst-case analysis of the N - 2 two-sided
+    reflections gives p(N) of order N^2; on random rank-one h the error
+    was below 5*eps*|h|_F for N from 4 to 256.  The computed h is within
+    eps*|s|_F of (s + s†)/2, and the computed r, |u|^2 and |s|_F are sums
+    of at most 2N^2 squares of entries rounded once or twice, so they are
+    within ``(2N^2 + 4)*eps*(|s|_F + |u|^2)`` of the true values.  The
+    margin ``mu = 8*N^2*eps*(|s|_F + |u|^2)`` covers
+    both shares, so when
+
+    * ``2r + mu < T(|s|_F)``, s passes the Hermiticity check of
+      ``hermitian_eigvals``, which compares the computed ``|s - s†|_F``
+      with that threshold;
+    * ``r + mu < T(|s|_F - r - mu)``, every eigenvalue but the largest is
+      inside the rank threshold;
+    * ``|u|^2 - r - mu > T(|s|_F + mu)``, the largest is above it;
+
+    and the eigenvalues would give rank one.  At N = 64 the margin is
+    about 1.5e-11 of |s|_F, far inside the default rel of 1e-9.
+
+    Otherwise the eigenvalues decide, exactly as without the certificate,
+    and u is read again outside it.  The certificate ignores
+    floating-point warnings: entries whose squares overflow, or a largest
+    diagonal entry that is not positive, make a norm infinite or NaN,
+    and it declines.
+    """
+    a = s.mat
+    dim = a.shape[0]
+    j = int(np.argmax(a.diagonal().real))
+    with np.errstate(all="ignore"):
+        norm_s = ml._norm(a)
+        u = a[:, j] / np.sqrt(a[j, j].real)
+        r = ml._norm(a - np.outer(u, u.conj()))
+        uu = float(np.vdot(u, u).real)
+    if math.isfinite(norm_s + r + uu):
+        mu = 8 * dim * dim * np.finfo(float).eps * (norm_s + uu)
+        if (
+            2 * r + mu < tol.threshold(norm_s)
+            and r + mu < tol.threshold(max(norm_s - r - mu, 0.0))
+            and uu - r - mu > tol.threshold(norm_s + mu)
+        ):
+            return True, _owned_vector(s.shape, u)
+    w = ml.hermitian_eigvals(a, tol)
     if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
-        return w, None
-    j = int(np.argmax(s.mat.diagonal().real))
-    return w, bp.BipartiteVector(s.shape, s.mat[:, j] / np.sqrt(s.mat[j, j].real))
+        return ml._is_psd(w, tol), None
+    return ml._is_psd(w, tol), _owned_vector(s.shape, a[:, j] / np.sqrt(a[j, j].real))
+
+
+def _owned_vector(shape: bp.BipartiteShape, data: np.ndarray) -> bp.BipartiteVector:
+    """The vector holding ``data``, a 1-D array just computed, checked
+    and made read-only in place (:func:`matlin._frozen`)."""
+    return bp.BipartiteVector._own(shape, ml._frozen(data[:, np.newaxis])[:, 0])
 
 
 def diamond(a: StateSquare, b: StateSquare) -> StateSquare:
@@ -94,13 +156,15 @@ def phi_homomorphism(a, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     :class:`SingularMatrix` since phi lands in the group of invertible
     elements only for invertible a.
     """
-    a = ml.as_matrix(a)
+    a = ml._frozen_copy(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     n = a.shape[0]
     if n == 0 or ml.matrix_rank(a, tol) < n:
         raise SingularMatrix("matrix is singular within tolerance")
-    return _pure(bp.unhat(a, bp.BipartiteShape(n, n)))
+    data = a.reshape(n * n)  # a view of the checked copy, or a copy when a is column-major
+    data.flags.writeable = False
+    return _pure(bp.BipartiteVector._own(bp.BipartiteShape(n, n), data))
 
 
 def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
@@ -118,7 +182,7 @@ def group_inverse(s: StateSquare, tol: Tolerance = DEFAULT_TOL) -> StateSquare:
     u, sv, wv = ml.svd(bp.hat(v), tol)
     if sv.size < v.shape.n:
         raise NotTotallyEntangled("matrix form of the state is singular")
-    return _pure(bp.unhat((wv / sv) @ u.conj().T, v.shape))
+    return _pure(_owned_vector(v.shape, ((wv / sv) @ u.conj().T).reshape(-1)))
 
 
 class EntanglementKind(enum.Enum):
@@ -158,11 +222,12 @@ def classify_entanglement(
     invertible); equal coefficients on top of that means maximally
     entangled.  Operator inputs must be Hermitian positive semidefinite
     (:class:`NotCompletelyPositive` otherwise); those of rank two or more are
-    mixed, and u u† is read as u from its eigenvalues and one column.
+    mixed, and u u† is read as u from one column, its rank one certified
+    without an eigensolve when the residual allows (:func:`_pure_vector`).
     """
     if isinstance(state, bp.BipartiteOperator):
-        w, state = _pure_vector(state, tol)
-        if not ml._is_psd(w, tol):
+        psd, state = _pure_vector(state, tol)
+        if not psd:
             raise NotCompletelyPositive("operator input must be positive semidefinite")
         if state is None:
             return EntanglementClass(EntanglementKind.MIXED, None)

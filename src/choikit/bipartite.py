@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue
-from .matlin import _frozen_copy, as_matrix
+from .matlin import _frozen, _frozen_copy, as_matrix
 
 __all__ = [
     "BipartiteShape",
@@ -98,6 +98,16 @@ class BipartiteVector:
 
     __eq__ = _value_eq
 
+    @classmethod
+    def _own(cls, shape: BipartiteShape, data: np.ndarray) -> "BipartiteVector":
+        """The vector holding ``data`` as it is: a read-only, checked array
+        of length ``shape.dim`` (see :func:`matlin._frozen`), so neither
+        copied nor scanned again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "shape", shape)
+        object.__setattr__(v, "data", data)
+        return v
+
 
 @dataclass(frozen=True)
 class BipartiteOperator:
@@ -115,6 +125,16 @@ class BipartiteOperator:
 
     __eq__ = _value_eq
 
+    @classmethod
+    def _own(cls, shape: BipartiteShape, mat: np.ndarray) -> "BipartiteOperator":
+        """The operator holding ``mat`` as it is: a read-only, checked
+        ``shape.dim`` x ``shape.dim`` array (see :func:`matlin._frozen`),
+        so neither copied nor scanned again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "shape", shape)
+        object.__setattr__(s, "mat", mat)
+        return s
+
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product in the fixed basis order."""
@@ -128,10 +148,11 @@ def hat(v: BipartiteVector) -> np.ndarray:
 
 def unhat(mat, shape: BipartiteShape) -> BipartiteVector:
     """Unfold an m x n matrix back into the bipartite vector."""
-    mat = as_matrix(mat)
-    if mat.shape != (shape.m, shape.n):
-        raise DimensionMismatch(f"expected {shape.m} x {shape.n}, got {mat.shape}")
-    return BipartiteVector(shape, mat.reshape(shape.dim))
+    a = np.asarray(mat, dtype=complex)
+    if a.shape != (shape.m, shape.n):
+        as_matrix(a)  # a bad ndim or entry is reported before the shape
+        raise DimensionMismatch(f"expected {shape.m} x {shape.n}, got {a.shape}")
+    return BipartiteVector._own(shape, _frozen(a.reshape(shape.dim, 1), mat)[:, 0])
 
 
 def check(v: BipartiteVector) -> np.ndarray:
@@ -147,12 +168,13 @@ def reshuffle_hat(s: BipartiteOperator) -> np.ndarray:
 
 def unreshuffle_hat(mat, shape: BipartiteShape) -> BipartiteOperator:
     """Inverse of :func:`reshuffle_hat`."""
-    mat = as_matrix(mat)
+    a = np.asarray(mat, dtype=complex)
     m, n = shape.m, shape.n
-    if mat.shape != (m * m, n * n):
-        raise DimensionMismatch(f"expected {m * m} x {n * n}, got {mat.shape}")
-    back = mat.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(shape.dim, shape.dim)
-    return BipartiteOperator(shape, back)
+    if a.shape != (m * m, n * n):
+        as_matrix(a)  # a bad ndim or entry is reported before the shape
+        raise DimensionMismatch(f"expected {m * m} x {n * n}, got {a.shape}")
+    back = a.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(shape.dim, shape.dim)
+    return BipartiteOperator._own(shape, _frozen(back, mat))
 
 
 def reshuffle_check(s: BipartiteOperator) -> np.ndarray:
@@ -176,14 +198,14 @@ def partial_transpose_1(s: BipartiteOperator) -> BipartiteOperator:
     """Transpose the first factor's indices: (i,j),(k,l) -> (k,j),(i,l)."""
     m, n = s.shape.m, s.shape.n
     four = s.mat.reshape(m, n, m, n).transpose(2, 1, 0, 3)
-    return BipartiteOperator(s.shape, four.reshape(s.shape.dim, s.shape.dim))
+    return BipartiteOperator._own(s.shape, _frozen(four.reshape(s.shape.dim, s.shape.dim), s.mat))
 
 
 def partial_transpose_2(s: BipartiteOperator) -> BipartiteOperator:
     """Transpose the second factor's indices: (i,j),(k,l) -> (i,l),(k,j)."""
     m, n = s.shape.m, s.shape.n
     four = s.mat.reshape(m, n, m, n).transpose(0, 3, 2, 1)
-    return BipartiteOperator(s.shape, four.reshape(s.shape.dim, s.shape.dim))
+    return BipartiteOperator._own(s.shape, _frozen(four.reshape(s.shape.dim, s.shape.dim), s.mat))
 
 
 def canonical_bell(n: int) -> BipartiteVector:

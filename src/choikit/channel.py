@@ -116,7 +116,9 @@ class KrausSet:
         for op in self.ops:
             if np.shape(op) != (m, n):
                 raise DimensionMismatch(f"operator of shape {np.shape(op)} in a {m} x {n} family")
-        stack = ml._frozen_copy(np.reshape(self.ops, (len(self.ops), m * n)))
+        stack = np.asarray(self.ops, dtype=complex).reshape(len(self.ops), m * n)
+        # a tuple or list of operators is gathered into new memory
+        stack = ml._frozen(stack, None if isinstance(self.ops, (tuple, list)) else self.ops)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "ops", tuple(stack.reshape(-1, m, n)))
 
@@ -167,7 +169,7 @@ def channel_from_kraus(k: KrausSet) -> Channel:
     is Hermitian positive semidefinite by construction.  A, a view of the
     stack, is kept as the channel's ``factor`` when r < m*n.
     """
-    c = channel_from_choi(k.stack.T @ k.stack.conj(), k.shape)
+    c = Channel(bp.BipartiteOperator._own(k.shape, ml._frozen(k.stack.T @ k.stack.conj())))
     if len(k) < k.shape.dim:
         # set only here, so A A† is the block matrix
         object.__setattr__(c, "factor", k.stack.T)

@@ -15,12 +15,19 @@ normalization:
 All functions accept anything ``np.asarray`` turns into a complex 2-D
 array; bad shapes, non-finite entries and failed factorizations raise
 :class:`DimensionMismatch`, :class:`InvalidValue` and :class:`ConvergenceFailure`.
+
+Each array is scanned for finiteness once, and every scan is an
+:func:`as_matrix` call.  Outside input is scanned where it comes in (and
+copied once when a wrapper type stores it, :func:`_frozen_copy`); an
+array the package has just computed is scanned once and made read-only
+in place (:func:`_frozen`), with no copy unless it may share memory with
+the caller's array.  :func:`frobenius_norm` scans only when the norm is
+not finite, since a finite norm proves finite entries.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,18 +92,25 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    # A finite sum of squares proves finite entries; BLAS takes it in half
+    # the time of the entrywise test, which decides when it is not finite.
+    if not (m.flags.c_contiguous and math.isfinite(np.vdot(m, m).real)) and not np.isfinite(m).all():
         raise InvalidValue("matrix entries must be finite")
     return m
 
 
-@contextmanager
-def _linalg_guard():
-    """Re-raise numpy's ``LinAlgError`` as :class:`ConvergenceFailure`."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+class _linalg_guard:
+    """Context manager re-raising numpy's ``LinAlgError`` as
+    :class:`ConvergenceFailure`; a class, which enters and exits for less
+    than a generator-based one."""
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, np.linalg.LinAlgError):
+            raise ConvergenceFailure(str(exc)) from exc
+        return False
 
 
 def _frozen_copy(a) -> np.ndarray:
@@ -105,6 +119,32 @@ def _frozen_copy(a) -> np.ndarray:
     m = as_matrix(np.array(a, dtype=complex))
     m.flags.writeable = False
     return m
+
+
+def _frozen(m: np.ndarray, source=None) -> np.ndarray:
+    """``m``, a complex 2-D array just computed, checked like
+    :func:`as_matrix` and made read-only in place: the owning counterpart
+    of :func:`_frozen_copy`.  It is copied first when it may share memory
+    with ``source``, the caller's array it was computed from (a reshape
+    or transpose can be a view of it); None means ``m`` is fresh."""
+    if source is not None and np.may_share_memory(m, source):
+        return _frozen_copy(m)
+    m = as_matrix(m)
+    m.flags.writeable = False
+    return m
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, by the same sum
+    in line: the entries in memory order, ``re.re + im.im``, then the
+    square root."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind in "biu":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 def frobenius_inner(a, b) -> complex:
@@ -116,7 +156,19 @@ def frobenius_inner(a, b) -> complex:
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
+    """Frobenius norm of a 2-D array, ``np.linalg.norm``'s bytes.
+
+    The entries are scanned (:func:`as_matrix`) only when the norm is not
+    finite: a finite norm proves finite entries.  So NaN or inf entries
+    still raise :class:`InvalidValue`, while finite entries whose norm
+    overflows give inf, which :meth:`Tolerance.threshold` turns into
+    :class:`NumericalFailure`.
+    """
+    m = np.asarray(a, dtype=complex)
+    norm = _norm(m)
+    if m.ndim != 2 or not math.isfinite(norm):
+        as_matrix(m)
+    return norm
 
 
 def nearly_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -137,7 +189,7 @@ def numeric_rank(values, tol: Tolerance = DEFAULT_TOL) -> int:
     change the answer while the threshold is above the absolute floor.
     """
     mods = np.abs(np.asarray(values))
-    return int(np.count_nonzero(mods > tol.threshold(float(np.linalg.norm(mods)))))
+    return int(np.count_nonzero(mods > tol.threshold(_norm(mods))))
 
 
 def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -149,7 +201,7 @@ def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 def _is_psd(w: np.ndarray, tol: Tolerance) -> bool:
     """Whether the eigenvalues ``w`` of a Hermitian matrix clear the
     negative tolerance band, the band of :func:`numeric_rank`."""
-    return bool(w.min(initial=0.0) >= -tol.threshold(float(np.linalg.norm(w))))
+    return bool(w.min(initial=0.0) >= -tol.threshold(_norm(w)))
 
 
 def _fix_column_phases(u: np.ndarray):
@@ -161,11 +213,10 @@ def _fix_column_phases(u: np.ndarray):
     u = np.asarray(u, dtype=complex)
     mags = np.abs(u)
     top = mags.max(axis=0, initial=0.0)
-    lead = np.argmax(mags > top * 1e-8, axis=0)
-    cols = np.arange(u.shape[1])
-    live = top > 0.0
-    factors = np.ones(u.shape[1], dtype=complex)
-    factors[live] = mags[lead, cols][live] / u[lead, cols][live]
+    lead = (mags > top * 1e-8).argmax(axis=0), np.arange(u.shape[1])
+    factors = np.empty(u.shape[1], dtype=complex)
+    factors.fill(1.0)
+    np.divide(mags[lead], u[lead], out=factors, where=top > 0.0)
     # Scaling through the transpose runs numpy's column-times-scalar loop,
     # so the bytes match scaling one column at a time; a row-broadcast
     # product can round differently.
@@ -178,9 +229,12 @@ def _hermitian_part(a, tol: Tolerance) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    if frobenius_norm(a - a.conj().T) > tol.threshold(frobenius_norm(a)):
+    ah = a.conj().T
+    if frobenius_norm(a - ah) > tol.threshold(frobenius_norm(a)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    return (a + a.conj().T) / 2.0
+    h = a + ah
+    h /= 2.0  # halved in place: no third buffer beside a† and h
+    return h
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
@@ -194,7 +248,7 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL):
     h = _hermitian_part(a, tol)
     with _linalg_guard():
         w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
+    order = w.argsort()[::-1]
     return w[order], _fix_column_phases(v[:, order])[0]
 
 
@@ -242,7 +296,8 @@ def qr(a):
     d = np.diagonal(r).copy()
     # d / |d| overflows for a subnormal d; scaling it by 2**64 is exact
     d[np.abs(d) < np.finfo(float).tiny] *= 2.0**64
-    phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
+    mod = np.abs(d)
+    phases = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
     q = q * phases[np.newaxis, :]
     r = phases.conj()[:, np.newaxis] * r
     # kill the -0.0 that Householder reflections tend to leave behind
@@ -308,7 +363,7 @@ def schur(a):
         _, v = np.linalg.eig(b)
         u, _ = np.linalg.qr(v)
         t = u.conj().T @ b @ u
-        if np.linalg.norm(t[lower]) > 8 * n * np.finfo(float).eps * np.linalg.norm(b):
+        if _norm(t[lower]) > 8 * n * np.finfo(float).eps * _norm(b):
             u, t = _schur_by_deflation(b)
     t[lower] = 0.0
     return u, np.ldexp(_parts(t), e).view(complex)
@@ -369,5 +424,5 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     w, v = hermitian_eig(a, tol)
     if not _is_psd(w, tol):
         raise NotCompletelyPositive("matrix has a negative eigenvalue beyond tolerance")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # np.clip(w, 0.0, None), without its dispatch
     return v @ (np.sqrt(w)[:, np.newaxis] * v.conj().T)

@@ -6,9 +6,10 @@ from explicit basis probing, partial operations from plain Python
 loops.  ``ppt_by_both_spectra`` and ``measurement_by_kron`` are the
 earlier, costlier forms of the routines they check,
 ``diamond_by_reshuffle`` is the diamond product written out apart from
-``channel.compose``, and ``unscreened_search`` is the positivity search
-with every pair through the superoperator; all four are kept as
-references.
+``channel.compose``, ``unscreened_search`` is the positivity search
+with every pair through the superoperator, and
+``pure_vector_by_spectrum`` decides rank one from the eigenvalues alone;
+all five are kept as references.
 """
 
 import numpy as np
@@ -185,6 +186,18 @@ def ppt_by_both_spectra(s: BipartiteOperator, tol=DEFAULT_TOL) -> PPTVerdict:
     if w1[-1] < w2[-1]:
         return PPTVerdict(ok1, float(w1[-1]), "first")
     return PPTVerdict(ok2, float(w2[-1]), "second")
+
+
+def pure_vector_by_spectrum(s: BipartiteOperator, tol=DEFAULT_TOL):
+    """``algebra._pure_vector`` without its rank-one certificate: ``(psd, u)``
+    from the eigenvalues of ``hermitian_eigvals``, u read from the column of
+    the largest diagonal entry whenever they give rank one."""
+    w = ml.hermitian_eigvals(s.mat, tol)
+    psd = ml._is_psd(w, tol)
+    if numeric_rank(w, tol) != 1 or w[0] <= 0:
+        return psd, None
+    j = int(np.argmax(s.mat.diagonal().real))
+    return psd, bp.BipartiteVector(s.shape, s.mat[:, j] / np.sqrt(s.mat[j, j].real))
 
 
 def measurement_by_kron(s: BipartiteOperator, m_op):

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choikit import algebra as alg
 from choikit import bipartite as bp
 from choikit import channel as ch
+from choikit import matlin as ml
 from choikit.errors import (
+    ChoikitError,
     DimensionMismatch,
     NotCompletelyPositive,
     NotHermitian,
@@ -18,6 +24,7 @@ from helpers import (
     forbidden,
     measurement_by_kron,
     ppt_by_both_spectra,
+    pure_vector_by_spectrum,
     random_cp_channel,
     random_hermitian,
     random_unitary,
@@ -210,6 +217,84 @@ class TestClassification:
         op = bp.BipartiteOperator(bp.BipartiteShape(2, 2), np.diag([1.0, -1.0, 0.0, 0.0]))
         with pytest.raises(NotCompletelyPositive):
             alg.classify_entanglement(op)
+
+
+class TestRankOneCertificate:
+    """``_pure_vector`` certifies rank one from the residual |s - u u†|_F;
+    the eigenvalues decide only when it declines."""
+
+    CASES = ["exact", "noise 0.1", "noise 0.5", "noise 2", "skew", "rank two", "negative", "zero", "abs floor"]
+
+    @staticmethod
+    def _state(rng, d, case):
+        n = d * d
+        v = crandn(rng, n)
+        s = np.outer(v, v.conj())
+        thr = ml.DEFAULT_TOL.threshold(np.linalg.norm(s))
+        if case.startswith("noise"):
+            e = random_hermitian(rng, n)
+            s = s + e * (float(case.split()[1]) * thr / np.linalg.norm(e))
+        elif case == "skew":
+            # an anti-Hermitian part c*thr: the Hermiticity check fails for c > 1/2
+            e = random_hermitian(rng, n)
+            s = s + 1j * e * (rng.uniform(0.0, 1.5) * thr / np.linalg.norm(e))
+        elif case == "rank two":
+            w = crandn(rng, n)
+            s = s + rng.uniform(1e-6, 1.0) * np.outer(w, w.conj())
+        elif case == "negative":
+            s = -rng.uniform(0.1, 10.0) * s
+        elif case == "zero":
+            s = np.zeros((n, n))
+        elif case == "abs floor":
+            # |s|_F near 1e-4: the threshold is the absolute floor 1e-12
+            s = s * (1e-4 / np.linalg.norm(s))
+            e = random_hermitian(rng, n)
+            s = s + e * (rng.uniform(0.0, 2.0) * 1e-12 / np.linalg.norm(e))
+        return bp.BipartiteOperator(bp.BipartiteShape(d, d), s)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(d=st.integers(2, 8), case=st.sampled_from(CASES), seed=st.integers(0, 2**32 - 1))
+    def test_certificate_and_spectrum_agree(self, d, case, seed):
+        s = self._state(np.random.default_rng(seed), d, case)
+        try:
+            want = pure_vector_by_spectrum(s)
+        except (ChoikitError, RuntimeWarning) as exc:
+            # a negative multiple whose largest eigenvalue is rounding noise
+            # above 0 reads u from a negative diagonal entry on both routes
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                alg._pure_vector(s, ml.DEFAULT_TOL)
+            return
+        psd, u = alg._pure_vector(s, ml.DEFAULT_TOL)
+        assert psd == want[0]
+        assert (u is None) == (want[1] is None)
+        if u is not None:
+            assert u.data.tobytes() == want[1].data.tobytes()
+            assert not u.data.flags.writeable
+
+    def test_exact_projector_takes_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        a = crandn(rng, 8, 8)
+        s = projector_state(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        inv = alg.group_inverse(s)
+        v = np.linalg.inv(a).reshape(64)
+        assert np.allclose(inv.mat, np.outer(v, v.conj()), atol=1e-8 * np.vdot(v, v).real)
+        assert alg.classify_entanglement(s.op).kind is alg.EntanglementKind.TOTALLY_ENTANGLED
+
+    def test_rank_two_state_takes_one_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        v, w = crandn(rng, 64), crandn(rng, 64)
+        op = bp.BipartiteOperator(bp.BipartiteShape(8, 8), np.outer(v, v.conj()) + np.outer(w, w.conj()))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert alg.classify_entanglement(op).kind is alg.EntanglementKind.MIXED
+        assert calls == [(64, 64)]
 
 
 class TestSchurProduct:

@@ -998,6 +998,44 @@ class TestImmutability:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 9.0
 
+    @staticmethod
+    def _owned_results():
+        """(name, caller's arrays, call): each call returns a wrapper around
+        an array it computed from the caller's arrays; with a factor of
+        dimension 1 the reshuffle and the unfold are views of them."""
+        rng = np.random.default_rng(7)
+        row, col, mat = crandn(rng, 1, 9), crandn(rng, 9, 1), crandn(rng, 2, 3)
+        ops = [crandn(rng, 1, 3) for _ in range(2)]
+        vec = crandn(rng, 4)
+        a = crandn(rng, 2, 2)
+        return [
+            ("channel_from_superop(1, 3)", [row], lambda: ch.channel_from_superop(row, bp.BipartiteShape(1, 3)).choi_mat),
+            ("channel_from_superop(3, 1)", [col], lambda: ch.channel_from_superop(col, bp.BipartiteShape(3, 1)).choi_mat),
+            ("unhat", [mat], lambda: bp.unhat(mat, bp.BipartiteShape(2, 3)).data),
+            (
+                "compose",
+                [row, col],
+                lambda: ch.compose(
+                    ch.channel_from_superop(row, bp.BipartiteShape(1, 3)),
+                    ch.channel_from_superop(col, bp.BipartiteShape(3, 1)),
+                ).choi_mat,
+            ),
+            ("channel_from_kraus", ops, lambda: ch.channel_from_kraus(ch.KrausSet(bp.BipartiteShape(1, 3), tuple(ops))).choi_mat),
+            ("_pure", [vec], lambda: alg._pure(bp.BipartiteVector(S2, vec)).mat),
+            ("phi_homomorphism", [a], lambda: alg.phi_homomorphism(a).mat),
+        ]
+
+    def test_owned_results_do_not_alias_the_caller(self):
+        for name, inputs, call in self._owned_results():
+            got = call()
+            kept = got.copy()
+            for x in inputs:
+                x[...] = 7.0
+            assert np.array_equal(got, kept), name
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                got[(0,) * got.ndim] = 9.0
+
     def test_channel_is_its_block_matrix_alone(self):
         op = bp.BipartiteOperator(bp.BipartiteShape(3, 2), np.eye(6))
         assert ch.Channel(op).shape is op.shape
