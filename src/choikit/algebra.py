@@ -70,8 +70,10 @@ def _pure_vector(s: bp.BipartiteOperator, tol: Tolerance):
     """``(psd, u)``: whether the Hermitian s is positive semidefinite, and u
     with s = u u† when s has rank one (else None), as the eigenvalues w of
     :func:`matlin.hermitian_eigvals` decide them: rank one is
-    ``numeric_rank(w) == 1`` with ``w[0] > 0``, which makes s positive
-    semidefinite too.  u is the column of the largest diagonal entry
+    ``numeric_rank(w) == 1`` with ``w[0] > -w[-1]``, the eigenvalue of
+    largest modulus positive, which makes s positive semidefinite too (a
+    negative multiple of a projector has rounding noise for w[0], which
+    may lie above 0).  u is the column of the largest diagonal entry
     divided by its square root: u times conj(u_j) / |u_j|, a phase that
     drops out of every projector and Schmidt coefficient read from u.
 
@@ -127,7 +129,7 @@ def _pure_vector(s: bp.BipartiteOperator, tol: Tolerance):
         ):
             return True, _owned_vector(s.shape, u)
     w = ml.hermitian_eigvals(a, tol)
-    if ml.numeric_rank(w, tol) != 1 or w[0] <= 0:
+    if ml.numeric_rank(w, tol) != 1 or w[0] <= -w[-1]:
         return ml._is_psd(w, tol), None
     return ml._is_psd(w, tol), _owned_vector(s.shape, a[:, j] / np.sqrt(a[j, j].real))
 

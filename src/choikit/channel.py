@@ -311,12 +311,35 @@ _CHUNK = 1024
 def _exact_values(st: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """``<phi| F(psi psi†) |phi>`` for one batch of draws, given the
     transposed superoperator ``st``: the projector batch, its product with
-    ``st`` and a three-operand sum."""
+    ``st`` and a three-operand sum.  The first two are written into the
+    kept buffer pair (:func:`_chunk_buffers`), which is taken out of
+    ``_held_buffers`` for the call, so no concurrent call writes it, and
+    put back after; the values returned are a fresh array."""
     k, n = psi.shape
     m = phi.shape[1]
-    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(k, n * n)
-    outs = (proj @ st).reshape(k, m, m)
-    return np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+    pair = _chunk_buffers(k, n, m)
+    proj, outs = pair[1][:k], pair[2][:k]
+    np.multiply(psi[:, :, None], psi.conj()[:, None, :], out=proj.reshape(k, n, n))
+    np.matmul(proj, st, out=outs)
+    vals = np.einsum("sp,spq,sq->s", phi.conj(), outs.reshape(k, m, m), phi).real
+    _held_buffers.append(pair)
+    del _held_buffers[:-1]  # a concurrent call may have put its pair back too
+    return vals
+
+
+def _chunk_buffers(k: int, n: int, m: int):
+    """``((n, m), proj, outs)``: buffers of at least k rows for the
+    projector batch (n^2 columns) and its product with the superoperator
+    (m^2 columns).  The kept pair when it fits, else a new one of k rows,
+    allocated only after the kept one is dropped."""
+    try:
+        pair = _held_buffers.pop()
+    except IndexError:
+        pair = None
+    if pair is not None and pair[0] == (n, m) and pair[1].shape[0] >= k:
+        return pair
+    del pair
+    return (n, m), np.empty((k, n * n), dtype=complex), np.empty((k, m * m), dtype=complex)
 
 
 def _screen_values(
@@ -334,6 +357,7 @@ def _screen_values(
 
 
 _held_draws = None  # (key, psi, phi) of the last set :func:`_draws` drew
+_held_buffers: list = []  # the last chunk's buffer pair, dropped with the draws
 
 
 def _draws(seed: int, samples: int, n: int, m: int):
@@ -343,8 +367,8 @@ def _draws(seed: int, samples: int, n: int, m: int):
 
     They depend on these four arguments alone, so the last set is kept,
     read-only, and returned again for the same four.  On any other call
-    the kept set is dropped before the new one is drawn, so no call holds
-    two sets at once.
+    the kept set, and the chunk buffers kept beside it, are dropped before
+    the new set is drawn, so no call holds two sets at once.
     """
     global _held_draws
     key = (seed, samples, n, m)
@@ -352,6 +376,7 @@ def _draws(seed: int, samples: int, n: int, m: int):
     if held is not None and held[0] == key:
         return held[1], held[2]
     _held_draws = held = None
+    _held_buffers.clear()
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -386,7 +411,9 @@ def check_positive_preserving(
 
     The pairs are evaluated in near-equal chunks of at most 1024, so
     beyond the draws (``samples * (n + m)`` complex numbers) memory stays
-    at one chunk's ``1024 * (n^2 + m^2)`` whatever ``samples`` is.  The
+    at one chunk's buffers, ``1024 * (n^2 + m^2)``, whatever ``samples``
+    is.  Those buffers are kept with the draws, so the next call with the
+    same four allocates none, and are dropped together with them.  The
     values are the bytes of evaluating all pairs in one batch.
     ``samples`` is an integer from 1 to :data:`MAX_SAMPLES` and ``seed`` a
     non-negative integer (``bool`` is neither), else :class:`InvalidValue`.

@@ -20,11 +20,16 @@ channel ``{"m": M, "n": N, "representation": "choi" | "superop" |
 Vectors are matrices with one column.  States of a doubled system are
 (m*n) x (m*n) matrices; the factor split is given with ``--cut M N``
 where a command cannot infer it.
+
+:func:`main` builds its argument parser once per process and reuses it
+for every later call; the ``cmd_*`` function of a command is looked up
+by name each time, so a rebinding of it (a tracer's, say) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -403,7 +408,10 @@ _SEED = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 _TOLERANCE = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once; it holds no ``cmd_*``
+    function, which :func:`main` looks up by the command's name."""
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol-abs", type=_TOLERANCE, default=1e-12, help="absolute tolerance")
     tol.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9, help="relative tolerance")
@@ -425,46 +433,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "classify", parents=[tol, sampling, out], help="run the full predicate suite on a channel"
     )
     p.add_argument("channel", help="channel JSON file")
-    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("convert", parents=[tol, out], help="convert a channel between representations")
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--to", required=True, choices=["choi", "superop", "kraus"])
-    p.set_defaults(run=cmd_convert)
 
     p = sub.add_parser("decompose", parents=[tol, out], help="decompose a bipartite vector")
     p.add_argument("state", help="vector JSON file (rows = m*n, cols = 1)")
     p.add_argument("--method", required=True, choices=["schmidt", "qr", "schur"])
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
-    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser(
         "compose", parents=[out], help="compose two channels (the second argument acts first)"
     )
     p.add_argument("outer", help="channel applied second")
     p.add_argument("inner", help="channel applied first")
-    p.set_defaults(run=cmd_compose)
 
     p = sub.add_parser("diamond", parents=[out], help="diamond product of two doubled-system states")
     p.add_argument("first", help="state JSON file (n^2 x n^2 matrix)")
     p.add_argument("second", help="state JSON file (n^2 x n^2 matrix)")
-    p.set_defaults(run=cmd_diamond)
 
     p = sub.add_parser("apply", parents=[out], help="apply a channel to an n x n matrix")
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("state", help="matrix JSON file (n x n)")
-    p.set_defaults(run=cmd_apply)
 
     p = sub.add_parser("ppt", parents=[tol, out], help="partial-transpose positivity test")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) Hermitian matrix)")
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
-    p.set_defaults(run=cmd_ppt)
 
     p = sub.add_parser("measure", parents=[out], help="act on a measurement operator through a state")
     p.add_argument("state", help="state JSON file ((m*n) x (m*n) matrix)")
     p.add_argument("--cut", required=True, nargs=2, type=_POSITIVE_INT, metavar=("M", "N"))
     p.add_argument("--m-op", required=True, help="measurement operator JSON file (n x n)")
-    p.set_defaults(run=cmd_measure)
 
     return parser
 
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            text = render_document(args.run(args))
+            text = render_document(globals()["cmd_" + args.command](args))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

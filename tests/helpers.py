@@ -191,10 +191,11 @@ def ppt_by_both_spectra(s: BipartiteOperator, tol=DEFAULT_TOL) -> PPTVerdict:
 def pure_vector_by_spectrum(s: BipartiteOperator, tol=DEFAULT_TOL):
     """``algebra._pure_vector`` without its rank-one certificate: ``(psd, u)``
     from the eigenvalues of ``hermitian_eigvals``, u read from the column of
-    the largest diagonal entry whenever they give rank one."""
+    the largest diagonal entry whenever they give rank one with the
+    eigenvalue of largest modulus positive."""
     w = ml.hermitian_eigvals(s.mat, tol)
     psd = ml._is_psd(w, tol)
-    if numeric_rank(w, tol) != 1 or w[0] <= 0:
+    if numeric_rank(w, tol) != 1 or w[0] <= -w[-1]:
         return psd, None
     j = int(np.argmax(s.mat.diagonal().real))
     return psd, bp.BipartiteVector(s.shape, s.mat[:, j] / np.sqrt(s.mat[j, j].real))

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,9 +259,8 @@ class TestRankOneCertificate:
         s = self._state(np.random.default_rng(seed), d, case)
         try:
             want = pure_vector_by_spectrum(s)
-        except (ChoikitError, RuntimeWarning) as exc:
-            # a negative multiple whose largest eigenvalue is rounding noise
-            # above 0 reads u from a negative diagonal entry on both routes
+        except ChoikitError as exc:
+            # a skew part past the Hermiticity threshold fails on both routes
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 alg._pure_vector(s, ml.DEFAULT_TOL)
             return
@@ -270,6 +270,21 @@ class TestRankOneCertificate:
         if u is not None:
             assert u.data.tobytes() == want[1].data.tobytes()
             assert not u.data.flags.writeable
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_negative_multiple_is_not_positive(self, d):
+        # the largest eigenvalue is rounding noise, possibly above 0; the
+        # one of largest modulus is negative, so s is read as not PSD
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            s = self._state(rng, d, "negative")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert alg._pure_vector(s, ml.DEFAULT_TOL) == (False, None)
+                with pytest.raises(NotCompletelyPositive):
+                    alg.classify_entanglement(s)
+                with pytest.raises(NotTotallyEntangled):
+                    alg.group_inverse(alg.StateSquare(d, s))
 
     def test_exact_projector_takes_no_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(31)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import astuple
@@ -314,8 +316,10 @@ def _assert_search_equals_one_batch(c, tols, samples, seed):
 
 
 def _search_peak(c, samples):
-    """Peak traced allocation of one positivity search, its draws included."""
+    """Peak traced allocation of one positivity search, its draws and its
+    chunk buffers included."""
     ch._held_draws = None
+    ch._held_buffers.clear()
     tracemalloc.start()
     try:
         ch.check_positive_preserving(c, samples=samples)
@@ -522,16 +526,107 @@ class TestHeldDraws:
         c = transpose_channel()
         ch.check_positive_preserving(c, samples=100, seed=0)
         old = weakref.ref(ch._held_draws[1])
+        (_, proj, outs), = ch._held_buffers
+        pair = [weakref.ref(proj), weakref.ref(outs)]
+        del proj, outs
         alive = []
         default_rng = np.random.default_rng
 
         def spied(seed):
-            alive.append(old() is not None)
+            alive.append((old() is not None, [r() is not None for r in pair]))
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", spied)
         ch.check_positive_preserving(c, samples=100, seed=1)
-        assert alive == [False]
+        assert alive == [(False, [False, False])]
+
+
+class TestKeptChunkBuffers:
+    """One chunk's buffer pair is kept beside the held draws: a search of
+    the same four allocates none, and a search of another four drops it
+    with the draws."""
+
+    D16 = bp.BipartiteShape(16, 16)
+
+    def test_second_search_of_a_key_allocates_no_chunk_buffers(self):
+        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(8), 256), self.D16)
+        first = _search_peak(c, 1024)
+        tracemalloc.start()
+        try:
+            ch.check_positive_preserving(c, samples=1024)
+            second = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 1024 * 256 * np.dtype(complex).itemsize  # each of the pair
+        assert first >= 2 * buffer
+        assert second < buffer
+
+    def test_values_share_no_memory_with_the_buffers(self, monkeypatch):
+        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(9), 64), bp.BipartiteShape(8, 8))
+        evaluated = []
+        exact = ch._exact_values
+
+        def recorded(st, psi, phi):
+            evaluated.append(exact(st, psi, phi))
+            return evaluated[-1]
+
+        monkeypatch.setattr(ch, "_exact_values", recorded)
+        ch.check_positive_preserving(c, samples=2500)
+        before = [v.tobytes() for v in evaluated]
+        # the same four again: the kept pair is written over
+        ch.check_positive_preserving(ch.channel_from_choi(-c.choi_mat, c.shape), samples=2500)
+        (_, proj, outs), = ch._held_buffers
+        assert len(evaluated) == 6
+        for v in evaluated:
+            assert not np.shares_memory(v, proj) and not np.shares_memory(v, outs)
+        assert [v.tobytes() for v in evaluated[:3]] == before[:3]
+
+    def test_concurrent_searches_equal_sequential_ones(self):
+        shape = bp.BipartiteShape(4, 4)
+        rng = np.random.default_rng(10)
+        channels = [ch.channel_from_choi(random_hermitian(rng, 16), shape) for _ in range(4)]
+        # 2500 pairs: chunks of 833, 833 and 834 rows, so a kept pair can be too short
+        want = [ch.check_positive_preserving(c, samples=2500, seed=3) for c in channels]
+        got = [[] for _ in channels]
+
+        def searches(i):
+            for _ in range(20):
+                got[i].append(ch.check_positive_preserving(channels[i], samples=2500, seed=3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=searches, args=(i,)) for i in range(len(channels))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for verdicts, v in zip(got, want):
+            assert len(verdicts) == 20
+            for verdict in verdicts:
+                assert_same_search(verdict, v)
+        assert len(ch._held_buffers) <= 1
+
+    def test_largest_d_pair_is_dropped_for_the_next_shape(self):
+        rng = np.random.default_rng(11)
+        big, small = random_tp_channel(rng, 32, 32, 4), random_tp_channel(rng, 4, 4, 2)
+        ch._held_draws = None
+        ch._held_buffers.clear()
+        tracemalloc.start()
+        try:
+            # one chunk of 1024 rows: two 16 MB buffers
+            ch.check_positive_preserving(big, samples=1024)
+            after_big = tracemalloc.get_traced_memory()[0]
+            ch.check_positive_preserving(small, samples=1024)
+            after_small = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        (shape, proj, outs), = ch._held_buffers
+        assert shape == (4, 4) and proj.shape == outs.shape == (1024, 16)
+        assert after_big - after_small >= 30 * 2**20
 
 
 @settings(derandomize=True, deadline=None, max_examples=24, database=None)

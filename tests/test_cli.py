@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from choikit import bipartite as bp
 from choikit import channel as ch
-from choikit import errors
+from choikit import cli, errors
 from choikit.cli import _EXIT_CODES, _need, main, matrix_doc, parse_channel, parse_matrix, render_document
 from choikit.errors import ParseError
 
@@ -400,6 +400,60 @@ def test_flag_a_command_does_not_read_exits_2(capsys, tmp_path, command, flag):
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.count("usage:") == 1
     assert captured.err.endswith(f"choikit: error: unrecognized arguments: {flag} 3\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process and looks each command's
+    cmd_* function up by name when it runs."""
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self, capsys, tmp_path):
+        cli._build_parser.cache_clear()
+        calls = [[command] + argv + ["--out", str(tmp_path / "x.json")] for command, (argv, _) in _CALLS.items()]
+        for argv in calls + [["classify", str(DATA / "identity.json")]] + calls:
+            assert main(argv) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(calls))
+
+    def test_command_rebound_after_the_first_call_runs(self, capsys, monkeypatch):
+        path = str(DATA / "identity.json")
+        assert main(["classify", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_classify", lambda args: {"rebound": args.channel})
+        assert main(["classify", path]) == 0
+        assert capsys.readouterr().out == render_document({"rebound": path})
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["classify", "--help"], 0),
+            (["classify", str(DATA / "identity.json"), "--samples", "0"], 2),
+            (["convert", str(DATA / "identity.json"), "--to", "choi", "--seed", "3"], 2),
+            (["frobnicate"], 2),
+            ([], 2),
+        ],
+        ids=["help", "classify-help", "bad-value", "unread-flag", "unknown-command", "no-command"],
+    )
+    def test_reused_parser_keeps_exit_codes_and_text(self, capsys, argv, code):
+        cli._build_parser.cache_clear()
+        first = self._outcome(capsys, argv)
+        assert first[0] == code and (first[1] or first[2])
+        for other in (
+            ["classify", str(DATA / "transpose.json")],
+            ["ppt", str(STATES / "bell_projector.json"), "--cut", "2", "2"],
+        ):
+            assert self._outcome(capsys, other)[0] == 0
+        assert self._outcome(capsys, argv) == first
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestConsoleScript:
