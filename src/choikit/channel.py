@@ -18,7 +18,9 @@ its spectrum from one analysis per tolerance (see :func:`_spectrum`).
 Extremality reads the minimal Kraus family that spectrum gives
 (:func:`kraus_from_channel`) and takes the rank of its products
 a_x† a_y (:func:`extremal_span_dimension`), so it costs no second
-analysis of ``s`` and never forms the superoperator.
+analysis of ``s`` and never forms the superoperator.  The positivity
+search screens its pairs through that spectrum too; the last pairs it
+drew (:func:`_draws`) are the module's only state between calls.
 """
 
 from __future__ import annotations
@@ -306,40 +308,47 @@ class PositivityVerdict:
 
 MAX_SAMPLES = 10**6
 _CHUNK = 1024
+# complex multiply-adds that make a product large for BLAS: OpenBLAS 0.3.31
+# runs up to 2^16 on one thread, blocked otherwise (rows differed at n = 13-15)
+_LARGE_PRODUCT = 2**17
 
 
 def _exact_values(st: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """``<phi| F(psi psi†) |phi>`` for one batch of draws, given the
     transposed superoperator ``st``: the projector batch, its product with
-    ``st`` and a three-operand sum.  The first two are written into the
-    kept buffer pair (:func:`_chunk_buffers`), which is taken out of
-    ``_held_buffers`` for the call, so no concurrent call writes it, and
-    put back after; the values returned are a fresh array."""
+    ``st`` and a three-operand sum."""
     k, n = psi.shape
     m = phi.shape[1]
-    pair = _chunk_buffers(k, n, m)
-    proj, outs = pair[1][:k], pair[2][:k]
-    np.multiply(psi[:, :, None], psi.conj()[:, None, :], out=proj.reshape(k, n, n))
-    np.matmul(proj, st, out=outs)
-    vals = np.einsum("sp,spq,sq->s", phi.conj(), outs.reshape(k, m, m), phi).real
-    _held_buffers.append(pair)
-    del _held_buffers[:-1]  # a concurrent call may have put its pair back too
+    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(k, n * n)
+    outs = (proj @ st).reshape(k, m, m)
+    return np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+
+
+def _pair_values(st: np.ndarray, psi: np.ndarray, phi: np.ndarray, pairs: np.ndarray):
+    """The values of the draws that ``pairs`` indexes, inf elsewhere, each
+    with the bytes it has in the draws' own chunks: the pairs go in
+    near-equal batches of at most :data:`_CHUNK`, a short one padded with
+    copies of its pairs to the shortest chunk or to a large product
+    (:data:`_LARGE_PRODUCT`; two rows at least, as one goes through gemv),
+    whichever is shorter, so BLAS takes the chunks' route."""
+    samples = psi.shape[0]
+    shortest_chunk = samples // -(-samples // _CHUNK)
+    least = min(shortest_chunk, max(2, -(-_LARGE_PRODUCT // st.size)))  # st is n^2 x m^2
+    vals = np.full(samples, np.inf)
+    for lo, hi in _batches(pairs.size):
+        batch = pairs[lo:hi]
+        rows = np.resize(batch, max(batch.size, least))
+        vals[batch] = _exact_values(st, psi[rows], phi[rows])[: batch.size]
     return vals
 
 
-def _chunk_buffers(k: int, n: int, m: int):
-    """``((n, m), proj, outs)``: buffers of at least k rows for the
-    projector batch (n^2 columns) and its product with the superoperator
-    (m^2 columns).  The kept pair when it fits, else a new one of k rows,
-    allocated only after the kept one is dropped."""
-    try:
-        pair = _held_buffers.pop()
-    except IndexError:
-        pair = None
-    if pair is not None and pair[0] == (n, m) and pair[1].shape[0] >= k:
-        return pair
-    del pair
-    return (n, m), np.empty((k, n * n), dtype=complex), np.empty((k, m * m), dtype=complex)
+def _batches(count: int):
+    """``(lo, hi)`` bounds of near-equal batches of at most :data:`_CHUNK`
+    that cover ``range(count)``, so none is much shorter than the others:
+    BLAS can round a short product otherwise than a long one."""
+    k = -(-count // _CHUNK)
+    edges = [count * i // k for i in range(k + 1)]
+    return zip(edges, edges[1:])
 
 
 def _screen_values(
@@ -357,7 +366,6 @@ def _screen_values(
 
 
 _held_draws = None  # (key, psi, phi) of the last set :func:`_draws` drew
-_held_buffers: list = []  # the last chunk's buffer pair, dropped with the draws
 
 
 def _draws(seed: int, samples: int, n: int, m: int):
@@ -367,8 +375,8 @@ def _draws(seed: int, samples: int, n: int, m: int):
 
     They depend on these four arguments alone, so the last set is kept,
     read-only, and returned again for the same four.  On any other call
-    the kept set, and the chunk buffers kept beside it, are dropped before
-    the new set is drawn, so no call holds two sets at once.
+    the kept set is dropped before the new one is drawn, so no call holds
+    two sets at once.  It is the search's only state between calls.
     """
     global _held_draws
     key = (seed, samples, n, m)
@@ -376,7 +384,6 @@ def _draws(seed: int, samples: int, n: int, m: int):
     if held is not None and held[0] == key:
         return held[1], held[2]
     _held_draws = held = None
-    _held_buffers.clear()
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -409,20 +416,19 @@ def check_positive_preserving(
     the channel, so the last set drawn is kept read-only for the next call
     with the same four; the witnesses are copies of it.
 
-    The pairs are evaluated in near-equal chunks of at most 1024, so
-    beyond the draws (``samples * (n + m)`` complex numbers) memory stays
-    at one chunk's buffers, ``1024 * (n^2 + m^2)``, whatever ``samples``
-    is.  Those buffers are kept with the draws, so the next call with the
-    same four allocates none, and are dropped together with them.  The
-    values are the bytes of evaluating all pairs in one batch.
+    The pairs evaluated go in near-equal batches of at most 1024
+    (:func:`_pair_values`), so beyond the draws (``samples * (n + m)``
+    complex numbers) memory stays at one batch's ``1024 * (n^2 + m^2)``
+    and a few floats per pair, whatever ``samples`` is.  The values are
+    the bytes of evaluating all pairs in one batch.
     ``samples`` is an integer from 1 to :data:`MAX_SAMPLES` and ``seed`` a
     non-negative integer (``bool`` is neither), else :class:`InvalidValue`.
 
     The search is screened through the spectrum (w, v) of s that the
-    predicates read (:func:`_spectrum`), so only the chunks holding a pair
-    the screen cannot settle go through the superoperator.  On the product
-    vector ``x = phi (x) conj(psi)`` the value is ``x† s x``.  With the
-    shift c the median of w (c = 0 when v has fewer columns than w: a
+    predicates read (:func:`_spectrum`), so only the pairs the screen
+    cannot settle go through the superoperator, at (m*n)^2 each.  On the
+    product vector ``x = phi (x) conj(psi)`` the value is ``x† s x``.  With
+    the shift c the median of w (c = 0 when v has fewer columns than w: a
     factor's spectrum stores no null vectors), K the indices with
     ``|w_i - c| > thr`` and u_i the columns of v,
 
@@ -463,17 +469,18 @@ def check_positive_preserving(
     2N*eps*sigma, a quarter of the second term of
     ``delta = rho*e + 8*N*eps*sigma``; the rest covers second-order terms,
     unit norms that hold only to rounding and the rounding of the
-    comparisons below.  So ``|f - v| <= delta`` for every pair.  A chunk is
-    evaluated exactly when it holds a possible minimiser, a pair with
-    ``f <= min f + 2*delta``, or a possible violation, a pair with
+    comparisons below.  So ``|f - v| <= delta`` for every pair.  A pair is
+    evaluated exactly when it is a possible minimiser, with
+    ``f <= min f + 2*delta``, or a possible violation, with
     ``f < -thr + delta``, at or before the first certain one, the first
     pair with ``f < -thr - delta``.  A pair that is not a possible
     minimiser has ``v > min f + delta``, which is at least v of the pair
     minimising f, so the minimum of v lies among the evaluated pairs.  A
     pair that is not a possible violation has ``v >= -thr``, and the first
     certain one has ``v < -thr`` and is evaluated, so the first violation
-    lies among them too.  A chunk is evaluated as it is without the
-    screen, so every number reported keeps its bytes.
+    lies among them too.  Each evaluated pair keeps the bytes it has
+    without the screen (:func:`_pair_values`), so every number reported
+    keeps its bytes.
     """
     if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
         raise InvalidValue(f"samples must be an integer from 1 to {MAX_SAMPLES}, got {samples!r}")
@@ -483,29 +490,21 @@ def check_positive_preserving(
     psi, phi = _draws(seed, samples, n, m)
     norm_s = ml.frobenius_norm(c.choi_mat)
     thr = tol.threshold(norm_s)
-    # with threaded BLAS a short product can round differently from a
-    # long one, so no chunk is much shorter than the others
-    k = -(-samples // _CHUNK)
-    edges = [samples * i // k for i in range(k + 1)]
-    chunks = list(zip(edges, edges[1:]))
+    pairs = np.arange(samples)
     screen = _screen_form(c, tol, norm_s, thr)
     if screen is not None:
-        # whole chunks, not single pairs: with threaded BLAS a product's
-        # bytes can depend on its row count
         ops, weights, shift, delta = screen
         f = shift + np.concatenate(
-            [_screen_values(ops, weights, psi[lo:hi], phi[lo:hi]) for lo, hi in chunks]
+            [_screen_values(ops, weights, psi[lo:hi], phi[lo:hi]) for lo, hi in _batches(samples)]
         )
         keep = f < -thr + delta
         sure = np.flatnonzero(f < -thr - delta)
         if sure.size:
             keep[sure[0] + 1 :] = False
         keep |= f <= f.min() + 2 * delta
-        chunks = [(lo, hi) for lo, hi in chunks if keep[lo:hi].any()]
-    st = superop_from_channel(c).T
-    vals = np.full(samples, np.inf)
-    for lo, hi in chunks:
-        vals[lo:hi] = _exact_values(st, psi[lo:hi], phi[lo:hi])
+        pairs = np.flatnonzero(keep)
+        del f, keep
+    vals = _pair_values(superop_from_channel(c).T, psi, phi, pairs)
     bad = np.flatnonzero(vals < -thr)
     witness_psi = witness_phi = None
     if bad.size:

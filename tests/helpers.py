@@ -7,7 +7,7 @@ loops.  ``ppt_by_both_spectra`` and ``measurement_by_kron`` are the
 earlier, costlier forms of the routines they check,
 ``diamond_by_reshuffle`` is the diamond product written out apart from
 ``channel.compose``, ``unscreened_search`` is the positivity search
-with every pair through the superoperator, and
+with every pair through the superoperator in arithmetic of its own, and
 ``pure_vector_by_spectrum`` decides rank one from the eigenvalues alone;
 all five are kept as references.
 """
@@ -217,10 +217,20 @@ def diamond_by_reshuffle(a: StateSquare, b: StateSquare) -> np.ndarray:
     return bp.unreshuffle_hat(s, a.op.shape).mat
 
 
-def unscreened_search(c: Channel, tol=DEFAULT_TOL, samples=10000, seed=0) -> ch.PositivityVerdict:
-    """The positivity search with no screen: the pairs drawn afresh in the
-    documented order and every chunk through ``channel._exact_values``, so
-    its numbers are the bytes the screened search must report."""
+def batch_values(st, psi, phi):
+    """``<phi| F(psi psi†) |phi>`` for each row of one batch of draws, from
+    the transposed superoperator ``st``: the projector batch, its product
+    with ``st`` and a three-operand sum, the search's arithmetic."""
+    k, n = psi.shape
+    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(k, n * n)
+    outs = (proj @ st).reshape(k, phi.shape[1], phi.shape[1])
+    return np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
+
+
+def chunked_values(c: Channel, samples: int, seed: int, chunk: int = 1024):
+    """``(vals, psi, phi)``: the search's pairs drawn afresh in the
+    documented order, and the value of each, evaluated in near-equal chunks
+    of at most ``chunk`` by :func:`batch_values`."""
     m, n = c.shape.m, c.shape.n
     rng = np.random.default_rng(seed)
     psi = crandn(rng, samples, n)
@@ -228,9 +238,17 @@ def unscreened_search(c: Channel, tol=DEFAULT_TOL, samples=10000, seed=0) -> ch.
     phi = crandn(rng, samples, m)
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     st = superop_from_channel(c).T
-    k = -(-samples // ch._CHUNK)
+    k = -(-samples // chunk)
     edges = [samples * i // k for i in range(k + 1)]
-    vals = np.concatenate([ch._exact_values(st, psi[lo:hi], phi[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    vals = np.concatenate([batch_values(st, psi[lo:hi], phi[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    return vals, psi, phi
+
+
+def unscreened_search(c: Channel, tol=DEFAULT_TOL, samples=10000, seed=0) -> ch.PositivityVerdict:
+    """The positivity search with no screen: every pair evaluated apart
+    from ``channel`` (:func:`chunked_values`), so its numbers are the bytes
+    the screened search must report."""
+    vals, psi, phi = chunked_values(c, samples, seed)
     bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
     return ch.PositivityVerdict(
         outcome="NotPositive" if bad.size else "NoViolationFound",
@@ -239,6 +257,25 @@ def unscreened_search(c: Channel, tol=DEFAULT_TOL, samples=10000, seed=0) -> ch.
         witness_psi=psi[bad[0]] if bad.size else None,
         witness_phi=phi[bad[0]] if bad.size else None,
     )
+
+
+def gathered_mismatches(shapes, sizes, samples=2050, seed=0) -> int:
+    """How many values of ``channel._pair_values``, on random sets of pairs
+    of each size in ``sizes`` gathered from anywhere in the draws, differ in
+    any byte from the same pairs' values in the draws' own chunks
+    (:func:`chunked_values`), for a random Hermitian block matrix of each
+    (m, n) in ``shapes``."""
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for m, n in shapes:
+        c = channel_from_choi(random_hermitian(rng, m * n), BipartiteShape(m, n))
+        whole, psi, phi = chunked_values(c, samples, seed)
+        st = superop_from_channel(c).T
+        for size in sizes:
+            pairs = np.sort(rng.choice(samples, size, replace=False))
+            got = ch._pair_values(st, psi, phi, pairs)[pairs]
+            mismatches += int(np.count_nonzero(got.view(np.uint64) != whole[pairs].view(np.uint64)))
+    return mismatches
 
 
 def assert_same_search(got: ch.PositivityVerdict, want: ch.PositivityVerdict):

@@ -1,3 +1,6 @@
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -24,6 +27,7 @@ from choikit.errors import (
 
 from helpers import (
     assert_same_search,
+    chunked_values,
     crandn,
     extremal_by_superop_gram,
     forbidden,
@@ -284,25 +288,11 @@ class TestPredicates:
                 ch.check_positive_preserving(transpose_channel(), samples=samples)
 
 
-def _one_batch_values(c, samples, seed):
-    """The positivity search's values with every pair in one batch, as the
-    golden files were made: the byte reference for the chunked search."""
-    m, n = c.shape.m, c.shape.n
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    phi = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    proj = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(samples, n * n)
-    outs = (proj @ ch.superop_from_channel(c).T).reshape(samples, m, m)
-    vals = np.einsum("sp,spq,sq->s", phi.conj(), outs, phi).real
-    return vals, psi, phi
-
-
 def _assert_search_equals_one_batch(c, tols, samples, seed):
     """Outcome, minimum and witnesses of the search, byte for byte those
-    of :func:`_one_batch_values`, at each tolerance in ``tols``."""
-    vals, psi, phi = _one_batch_values(c, samples, seed)
+    of evaluating every pair in one batch, as the golden files were made,
+    at each tolerance in ``tols``."""
+    vals, psi, phi = chunked_values(c, samples, seed, chunk=samples)
     for tol in tols:
         v = ch.check_positive_preserving(c, tol, samples=samples, seed=seed)
         bad = np.flatnonzero(vals < -tol.threshold(np.linalg.norm(c.choi_mat)))
@@ -316,10 +306,9 @@ def _assert_search_equals_one_batch(c, tols, samples, seed):
 
 
 def _search_peak(c, samples):
-    """Peak traced allocation of one positivity search, its draws and its
-    chunk buffers included."""
+    """Peak traced allocation of one positivity search, its draws
+    included."""
     ch._held_draws = None
-    ch._held_buffers.clear()
     tracemalloc.start()
     try:
         ch.check_positive_preserving(c, samples=samples)
@@ -338,7 +327,7 @@ class TestChunkedPositivitySearch:
     def test_bytes_equal_one_batch(self, monkeypatch, m, n, samples):
         rng = np.random.default_rng(m * n)
         c = ch.channel_from_choi(random_hermitian(rng, m * n), bp.BipartiteShape(m, n))
-        vals = _one_batch_values(c, samples, seed=5)[0]
+        vals = chunked_values(c, samples, seed=5, chunk=samples)[0]
         low = np.sort(vals)[:2]
         # a threshold that only the smallest value violates puts the
         # witness anywhere in the draws, not just in the first chunk
@@ -357,6 +346,27 @@ class TestChunkedPositivitySearch:
         ch.check_positive_preserving(c, samples=samples, seed=5)
         assert np.concatenate(evaluated).tobytes() == vals.tobytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            # square d, and shapes whose short products OpenBLAS runs
+            # single-threaded with another blocking of the inner dimension
+            [(2, 2), (4, 4), (8, 8), (16, 16), (2, 13), (4, 15), (13, 13)],
+            pytest.param([(32, 32)], marks=pytest.mark.slow, id="d32"),
+        ],
+    )
+    def test_gathered_pairs_keep_their_chunk_bytes(self, threads, shapes):
+        # a lone pair (padded), short sets and sets of one and two chunks;
+        # a new process, as OpenBLAS reads its thread count once, at load
+        sizes = [1, *range(2, 41), 513, 1024]
+        paths = [str(pathlib.Path(__file__).parent), str(pathlib.Path(ch.__file__).parents[1])]
+        paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
+        code = f"from helpers import gathered_mismatches; print(gathered_mismatches({shapes!r}, {sizes!r}))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "0\n"
+
     def test_memory_grows_only_with_the_draws(self):
         c = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), 256), self.D16)
         ch.check_positive_preserving(c, samples=2)  # first-call set-up is not measured
@@ -368,7 +378,9 @@ class TestChunkedPositivitySearch:
         kraus = random_tp_channel(np.random.default_rng(2), 16, 16, 4)
         choi = ch.channel_from_choi(kraus.choi_mat, self.D16)
         full = ch.channel_from_choi(random_hermitian(np.random.default_rng(2), 256), self.D16)
-        for c in (kraus, choi, full):  # the spectra are taken here, not measured
+        # a constant screen: every pair is a candidate, gathered in batches of 1024
+        flat = ch.channel_from_choi(np.eye(256) / 16, self.D16)
+        for c in (kraus, choi, full, flat):  # the spectra are taken here, not measured
             ch.check_positive_preserving(c, samples=2)
         extra_draws = (8192 - 2048) * (16 + 16) * np.dtype(complex).itemsize
         assert _search_peak(kraus, 8192) - _search_peak(kraus, 2048) <= 2 * extra_draws
@@ -377,6 +389,7 @@ class TestChunkedPositivitySearch:
         assert _search_peak(kraus, 8192) <= unscreened + 3 * 8192 * 8
         # and at most the one (mn)^2 buffer of the remainder E
         assert _search_peak(choi, 8192) <= unscreened + 256**2 * np.dtype(complex).itemsize
+        assert _search_peak(flat, 8192) <= unscreened + 3 * 8192 * 8
 
 
 class TestScreenedPositivitySearch:
@@ -392,6 +405,8 @@ class TestScreenedPositivitySearch:
         exact = ch._exact_values
 
         def counted(st, psi, phi):
+            # every search here draws two or more pairs, so no batch has one row
+            assert 2 <= psi.shape[0] <= ch._CHUNK
             rows.append(psi.shape[0])
             return exact(st, psi, phi)
 
@@ -401,18 +416,18 @@ class TestScreenedPositivitySearch:
     def test_exact_rows_only_near_the_minimum(self, rows):
         kraus = random_cp_channel(np.random.default_rng(9), 16, 16, 2)
         ch.check_positive_preserving(kraus, samples=10000)
-        # one pair near the minimum, so one chunk of 1000 goes through the
-        # superoperator, and the same one for the same matrix in Choi form
-        assert rows == [1000]
+        # one pair near the minimum, so it alone goes through the
+        # superoperator, twice over, and the same for the matrix in Choi form
+        assert rows == [2]
         rows.clear()
         ch.check_positive_preserving(ch.channel_from_choi(kraus.choi_mat, kraus.shape), samples=10000)
-        assert rows == [1000]
+        assert rows == [2]
 
     def test_one_candidate_keeps_its_bytes(self, rows):
         # one pair near the minimum, in the second of three chunks of 683 rows
         kraus = random_cp_channel(np.random.default_rng(1), 16, 16, 2)
         _assert_search_equals_one_batch(kraus, self.TOLS, samples=2049, seed=3)
-        assert rows == [683, 683]
+        assert rows == [2, 2]
 
     def test_full_rank_family_is_not_screened(self, rows):
         paulis = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
@@ -425,17 +440,18 @@ class TestScreenedPositivitySearch:
     def test_identity_minus_a_direction_takes_at_most_two_chunks(self, rows):
         c = identity_minus_a_direction(np.random.default_rng(3), 16)
         v = ch.check_positive_preserving(c, samples=10000)
-        # the first chunk holds the first certain violation, and the one
-        # holding the minimum of the screen is the only other kept
+        # two pairs kept, in one batch: the first certain violation, and
+        # the one minimising the screen
         assert v.outcome == "NotPositive"
-        assert len(rows) <= 2 and set(rows) == {1000}
+        assert rows == [2]
         assert_same_search(v, unscreened_search(c))
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_boundary_matrix_takes_one_chunk(self, rows, rotated):
         c = ch.channel_from_choi(boundary_choi(rotated), bp.BipartiteShape(8, 8))
         v = ch.check_positive_preserving(c, samples=10000)
-        assert rows == [1000]
+        # one candidate, padded to the 32 rows that make a d = 8 product large
+        assert rows == [32]
         assert_same_search(v, unscreened_search(c))
 
     @pytest.mark.parametrize("hermitian", [True, False])
@@ -469,7 +485,7 @@ class TestScreenedPositivitySearch:
         rng = np.random.default_rng(4)
         narrow, wide = random_cp_channel(rng, 8, 8, 16), random_cp_channel(rng, 8, 8, 32)
         ch.check_positive_preserving(narrow, samples=10000)
-        assert rows == [1000]
+        assert rows == [32]
         rows.clear()
         monkeypatch.setattr(ch, "_screen_values", forbidden)
         ch.check_positive_preserving(wide, samples=10000)
@@ -526,66 +542,27 @@ class TestHeldDraws:
         c = transpose_channel()
         ch.check_positive_preserving(c, samples=100, seed=0)
         old = weakref.ref(ch._held_draws[1])
-        (_, proj, outs), = ch._held_buffers
-        pair = [weakref.ref(proj), weakref.ref(outs)]
-        del proj, outs
         alive = []
         default_rng = np.random.default_rng
 
         def spied(seed):
-            alive.append((old() is not None, [r() is not None for r in pair]))
+            alive.append(old() is not None)
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", spied)
         ch.check_positive_preserving(c, samples=100, seed=1)
-        assert alive == [(False, [False, False])]
+        assert alive == [False]
 
 
 class TestKeptChunkBuffers:
-    """One chunk's buffer pair is kept beside the held draws: a search of
-    the same four allocates none, and a search of another four drops it
-    with the draws."""
-
-    D16 = bp.BipartiteShape(16, 16)
-
-    def test_second_search_of_a_key_allocates_no_chunk_buffers(self):
-        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(8), 256), self.D16)
-        first = _search_peak(c, 1024)
-        tracemalloc.start()
-        try:
-            ch.check_positive_preserving(c, samples=1024)
-            second = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        buffer = 1024 * 256 * np.dtype(complex).itemsize  # each of the pair
-        assert first >= 2 * buffer
-        assert second < buffer
-
-    def test_values_share_no_memory_with_the_buffers(self, monkeypatch):
-        c = ch.channel_from_choi(random_hermitian(np.random.default_rng(9), 64), bp.BipartiteShape(8, 8))
-        evaluated = []
-        exact = ch._exact_values
-
-        def recorded(st, psi, phi):
-            evaluated.append(exact(st, psi, phi))
-            return evaluated[-1]
-
-        monkeypatch.setattr(ch, "_exact_values", recorded)
-        ch.check_positive_preserving(c, samples=2500)
-        before = [v.tobytes() for v in evaluated]
-        # the same four again: the kept pair is written over
-        ch.check_positive_preserving(ch.channel_from_choi(-c.choi_mat, c.shape), samples=2500)
-        (_, proj, outs), = ch._held_buffers
-        assert len(evaluated) == 6
-        for v in evaluated:
-            assert not np.shares_memory(v, proj) and not np.shares_memory(v, outs)
-        assert [v.tobytes() for v in evaluated[:3]] == before[:3]
+    """Searches run from several threads at once share the held draws and
+    report what they report one at a time."""
 
     def test_concurrent_searches_equal_sequential_ones(self):
         shape = bp.BipartiteShape(4, 4)
         rng = np.random.default_rng(10)
         channels = [ch.channel_from_choi(random_hermitian(rng, 16), shape) for _ in range(4)]
-        # 2500 pairs: chunks of 833, 833 and 834 rows, so a kept pair can be too short
+        # 2500 pairs of unscreened channels: batches of 833, 833 and 834 rows
         want = [ch.check_positive_preserving(c, samples=2500, seed=3) for c in channels]
         got = [[] for _ in channels]
 
@@ -608,25 +585,6 @@ class TestKeptChunkBuffers:
             assert len(verdicts) == 20
             for verdict in verdicts:
                 assert_same_search(verdict, v)
-        assert len(ch._held_buffers) <= 1
-
-    def test_largest_d_pair_is_dropped_for_the_next_shape(self):
-        rng = np.random.default_rng(11)
-        big, small = random_tp_channel(rng, 32, 32, 4), random_tp_channel(rng, 4, 4, 2)
-        ch._held_draws = None
-        ch._held_buffers.clear()
-        tracemalloc.start()
-        try:
-            # one chunk of 1024 rows: two 16 MB buffers
-            ch.check_positive_preserving(big, samples=1024)
-            after_big = tracemalloc.get_traced_memory()[0]
-            ch.check_positive_preserving(small, samples=1024)
-            after_small = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        (shape, proj, outs), = ch._held_buffers
-        assert shape == (4, 4) and proj.shape == outs.shape == (1024, 16)
-        assert after_big - after_small >= 30 * 2**20
 
 
 @settings(derandomize=True, deadline=None, max_examples=24, database=None)
@@ -695,7 +653,8 @@ def test_screened_search_at_d32_equals_the_unscreened_one(form):
         c = identity_minus_a_direction(rng, 32)
     with mock.patch.object(ch, "_exact_values", wraps=ch._exact_values) as exact:
         got = ch.check_positive_preserving(c)
-    assert exact.call_count <= 2  # of 10 chunks
+    # one candidate pair of 10000, gathered as a batch of two
+    assert [call.args[1].shape[0] for call in exact.call_args_list] == [2]
     assert_same_search(got, unscreened_search(c))
 
 
@@ -742,6 +701,33 @@ class TestTracePreservation:
         claimed = ch.is_unital(c)
         direct = np.allclose(ch.apply(c, np.eye(2)), np.eye(3), atol=1e-9)
         assert claimed == direct
+
+
+@pytest.mark.parametrize("kind", ["tp", "cp", "hp"])
+@settings(derandomize=True, deadline=None, max_examples=6, database=None)
+@given(
+    m=st.integers(8, 16),
+    n=st.integers(8, 16),
+    r=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tp_readings_and_kraus_round_trip_at_d8_to_16(kind, m, n, r, seed):
+    # CP and TP, CP and not TP, and F o transpose of a TP channel, which is
+    # TP and Hermitian preserving but not CP
+    rng = np.random.default_rng(seed)
+    r = max(r, -(-n // m))  # r*m >= n, so a TP family exists
+    c = random_cp_channel(rng, m, n, r) if kind == "cp" else random_tp_channel(rng, m, n, r)
+    if kind == "hp":
+        c = ch.channel_from_choi(bp.partial_transpose_2(c.choi).mat, c.shape)
+    cond = ch.six_tp_conditions(c)
+    decided = tuple(x for x in astuple(cond) if x is not None)
+    assert cond.unanimous()
+    assert decided == (kind != "cp",) * (4 if kind == "hp" else 6)
+    assert ch.is_completely_positive(c)[0] == (kind != "hp")
+    if kind != "hp":
+        k = ch.kraus_from_channel(c)
+        assert len(k) == ch.higher_rank(c) == r
+        assert ch.channel_equal(ch.channel_from_kraus(k), c)
 
 
 class TestFactorizability:
